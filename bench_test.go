@@ -381,3 +381,52 @@ func BenchmarkScenarioJSON(b *testing.B) {
 		}
 	}
 }
+
+// ingestScenario is the million-user benchmark shape (fat-tailed users,
+// K = 20) at n users: a scenario and its MarshalScenario bytes.
+func ingestScenario(tb testing.TB, n int) (*uavnet.Scenario, []byte) {
+	tb.Helper()
+	sc, err := uavnet.GenerateScenario(uavnet.ScenarioSpec{N: n, K: 20, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data, err := uavnet.MarshalScenario(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sc, data
+}
+
+// BenchmarkUnmarshalScenario measures scenario decoding, the ingest step
+// of every CLI and server load; run with -benchmem. The allocation count is
+// gated by TestIngestAllocsDoNotScaleWithUsers.
+func BenchmarkUnmarshalScenario(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			_, data := ingestScenario(b, n)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := uavnet.UnmarshalScenario(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkScenarioFingerprint measures Scenario.Fingerprint, which every
+// checkpoint, resume and server job id computes over all users.
+func BenchmarkScenarioFingerprint(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sc, _ := ingestScenario(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = sc.Fingerprint()
+			}
+		})
+	}
+}

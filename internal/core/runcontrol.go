@@ -1,10 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"github.com/uav-coverage/uavnet/internal/strictjson"
 )
 
 // RunStatus tags how an Approx run ended.
@@ -169,16 +170,15 @@ func (c *Checkpoint) Marshal() ([]byte, error) {
 }
 
 // UnmarshalCheckpoint parses a checkpoint previously produced by Marshal.
-// Decoding is strict (unknown fields are rejected): a checkpoint field the
-// format does not define means the file was hand-edited or written by a
-// different version, and a silently-dropped field here would resume a
-// different run than the one frozen — the validate pass can only cross-check
-// fields it actually decoded.
+// Decoding is strict (unknown fields and trailing bytes are rejected, see
+// internal/strictjson): a checkpoint field the format does not define means
+// the file was hand-edited or written by a different version, and a
+// silently-dropped field here would resume a different run than the one
+// frozen — the validate pass can only cross-check fields it actually
+// decoded.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	var c Checkpoint
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := strictjson.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("core: bad checkpoint: %w", err)
 	}
 	if c.Algorithm != "approAlg" {

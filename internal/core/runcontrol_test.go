@@ -396,3 +396,23 @@ func TestResumeProgressCountsThisRunOnly(t *testing.T) {
 		t.Errorf("Done %d != Evaluated %d + Pruned %d", last.Done, last.Evaluated, last.Pruned)
 	}
 }
+
+// TestUnmarshalCheckpointTrailingBytes pins the strict-JSON rule: a
+// checkpoint followed by anything but whitespace is rejected, while the
+// trailing newline SaveCheckpoint writes still loads.
+func TestUnmarshalCheckpointTrailingBytes(t *testing.T) {
+	valid, err := (&Checkpoint{Algorithm: "approAlg", S: 3}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"", "\n", " \r\n\t"} {
+		if _, err := UnmarshalCheckpoint(append(append([]byte{}, valid...), tail...)); err != nil {
+			t.Errorf("checkpoint + %q rejected: %v", tail, err)
+		}
+	}
+	for _, tail := range []string{"x", "{}"} {
+		if _, err := UnmarshalCheckpoint(append(append([]byte{}, valid...), tail...)); err == nil {
+			t.Errorf("checkpoint + %q accepted", tail)
+		}
+	}
+}

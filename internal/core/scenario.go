@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"github.com/uav-coverage/uavnet/internal/channel"
 	"github.com/uav-coverage/uavnet/internal/geom"
@@ -94,16 +95,59 @@ func (sc *Scenario) Validate() error {
 // optimization problem: grid, ranges, channel parameters, users, and fleet.
 // Checkpoints embed it so a resumed run provably targets the same scenario;
 // it is a content hash, not a cryptographic commitment.
+//
+// The hashed bytes are a fixed contract — checkpoints and server job ids are
+// keyed on the value — and are exactly what
+//
+//	fmt.Fprintf(h, "%v|%v|%v|", sc.Grid, sc.UAVRange, sc.Channel)
+//	fmt.Fprintf(h, "u%v,%v,%v;", u.Pos.X, u.Pos.Y, u.MinRateBps) // per user
+//	fmt.Fprintf(h, "k%s,%d,%v,%v;", u.Name, u.Capacity, u.Tx, u.UserRange) // per UAV
+//
+// writes. Users and UAVs go through appendUserFP and appendUAVFP instead, in
+// one reused buffer, so a million-user scenario hashes without a fmt call
+// or an allocation per user.
 func (sc *Scenario) Fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v|%v|%v|", sc.Grid, sc.UAVRange, sc.Channel)
+	buf := make([]byte, 0, 128)
 	for _, u := range sc.Users {
-		fmt.Fprintf(h, "u%v,%v,%v;", u.Pos.X, u.Pos.Y, u.MinRateBps)
+		buf = appendUserFP(buf[:0], u)
+		h.Write(buf)
 	}
 	for _, u := range sc.UAVs {
-		fmt.Fprintf(h, "k%s,%d,%v,%v;", u.Name, u.Capacity, u.Tx, u.UserRange)
+		buf = appendUAVFP(buf[:0], u)
+		h.Write(buf)
 	}
 	return h.Sum64()
+}
+
+// appendUserFP appends one user's fingerprint record, "u%v,%v,%v;" of
+// (X, Y, MinRateBps). fmt's %v of a float64 is strconv's shortest 'g'.
+func appendUserFP(b []byte, u User) []byte {
+	b = append(b, 'u')
+	b = strconv.AppendFloat(b, u.Pos.X, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, u.Pos.Y, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, u.MinRateBps, 'g', -1, 64)
+	return append(b, ';')
+}
+
+// appendUAVFP appends one UAV's fingerprint record, "k%s,%d,%v,%v;" of
+// (Name, Capacity, Tx, UserRange); %v of the Transmitter struct is
+// "{PowerDBm AntennaGainDBi}".
+func appendUAVFP(b []byte, u UAV) []byte {
+	b = append(b, 'k')
+	b = append(b, u.Name...)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(u.Capacity), 10)
+	b = append(b, ",{"...)
+	b = strconv.AppendFloat(b, u.Tx.PowerDBm, 'g', -1, 64)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, u.Tx.AntennaGainDBi, 'g', -1, 64)
+	b = append(b, "},"...)
+	b = strconv.AppendFloat(b, u.UserRange, 'g', -1, 64)
+	return append(b, ';')
 }
 
 // K returns the number of UAVs.

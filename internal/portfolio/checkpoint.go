@@ -1,11 +1,11 @@
 package portfolio
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
 	"github.com/uav-coverage/uavnet/internal/core"
+	"github.com/uav-coverage/uavnet/internal/strictjson"
 )
 
 // SolverState freezes one portfolio member. Together with the run options it
@@ -67,16 +67,15 @@ func (c *Checkpoint) Marshal() ([]byte, error) {
 }
 
 // UnmarshalCheckpoint parses a checkpoint previously produced by Marshal.
-// Unknown fields are rejected, mirroring core.UnmarshalCheckpoint: a field
-// this version cannot interpret would otherwise be dropped silently, and the
-// resumed race would diverge from the frozen one with no diagnostic. (The
-// member-specific Extra blob is exempt by construction — it round-trips as
-// raw JSON and each member validates its own.)
+// Unknown fields and trailing bytes are rejected, mirroring
+// core.UnmarshalCheckpoint: a field this version cannot interpret would
+// otherwise be dropped silently, and the resumed race would diverge from the
+// frozen one with no diagnostic. (The member-specific Extra blob is exempt
+// by construction — it round-trips as raw JSON and each member validates its
+// own.)
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	var c Checkpoint
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := strictjson.Unmarshal(data, &c); err != nil {
 		return nil, fmt.Errorf("portfolio: bad checkpoint: %w", err)
 	}
 	if c.Algorithm != "portfolio" {

@@ -328,3 +328,23 @@ func TestUnmarshalCheckpointRejectsWrongAlgorithm(t *testing.T) {
 		t.Fatal("UnmarshalCheckpoint accepted junk")
 	}
 }
+
+// TestUnmarshalCheckpointTrailingBytes pins the strict-JSON rule: a
+// checkpoint followed by anything but whitespace is rejected, while the
+// trailing newline a saved checkpoint ends with still loads.
+func TestUnmarshalCheckpointTrailingBytes(t *testing.T) {
+	valid, err := (&Checkpoint{Algorithm: "portfolio", S: 3}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"", "\n", " \r\n\t"} {
+		if _, err := UnmarshalCheckpoint(append(append([]byte{}, valid...), tail...)); err != nil {
+			t.Errorf("checkpoint + %q rejected: %v", tail, err)
+		}
+	}
+	for _, tail := range []string{"x", "{}"} {
+		if _, err := UnmarshalCheckpoint(append(append([]byte{}, valid...), tail...)); err == nil {
+			t.Errorf("checkpoint + %q accepted", tail)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	uavnet "github.com/uav-coverage/uavnet"
+	"github.com/uav-coverage/uavnet/internal/strictjson"
 )
 
 // Config tunes a Server.
@@ -218,17 +218,15 @@ func decodeScenario(version int, raw json.RawMessage) (*uavnet.Scenario, error) 
 	return uavnet.UnmarshalScenario(envelope)
 }
 
-// decodeStrictBody decodes an HTTP body into v, rejecting unknown fields: a
-// misspelled option must 400 with the field name, never solve a subtly
-// different problem.
+// decodeStrictBody decodes an HTTP body into v, rejecting unknown fields and
+// trailing bytes (internal/strictjson): a misspelled option must 400 with the
+// field name, never solve a subtly different problem.
 func decodeStrictBody(r *http.Request, v any) error {
 	data, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 256<<20))
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	return strictjson.Unmarshal(data, v)
 }
 
 // --- Handlers ---

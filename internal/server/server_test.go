@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -713,5 +714,35 @@ func TestSubmitRejectsInvalidScenario(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/jobs", []byte(`{"version":7}`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing scenario: status %d", resp.StatusCode)
+	}
+}
+
+// TestStrictJSONTrailingBytes pins the strict-JSON rule on both server
+// decoders: request bodies and job-directory files followed by anything but
+// whitespace are rejected, while the trailing newline every file the server
+// writes ends with still loads.
+func TestStrictJSONTrailingBytes(t *testing.T) {
+	valid := []byte(`{"id":"j1","options":{"s":2}}`)
+	dir := t.TempDir()
+	for i, tc := range []struct {
+		tail string
+		ok   bool
+	}{{"", true}, {"\n", true}, {" \r\n\t", true}, {"x", false}, {"{}", false}} {
+		in := append(append([]byte{}, valid...), tc.tail...)
+
+		var body jobRecord
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(in))
+		if err := decodeStrictBody(req, &body); (err == nil) != tc.ok {
+			t.Errorf("decodeStrictBody(valid + %q) err = %v, want ok=%v", tc.tail, err, tc.ok)
+		}
+
+		path := filepath.Join(dir, fmt.Sprintf("f%d.json", i))
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var rec jobRecord
+		if err := readStrictJSON(path, &rec); (err == nil) != tc.ok {
+			t.Errorf("readStrictJSON(valid + %q) err = %v, want ok=%v", tc.tail, err, tc.ok)
+		}
 	}
 }

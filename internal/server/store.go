@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +9,7 @@ import (
 
 	uavnet "github.com/uav-coverage/uavnet"
 	"github.com/uav-coverage/uavnet/internal/atomicfile"
+	"github.com/uav-coverage/uavnet/internal/strictjson"
 )
 
 // On-disk layout, one directory per job under Config.Dir:
@@ -59,18 +59,16 @@ func writeJSON(path string, v any) error {
 	return atomicfile.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// readStrictJSON loads a server-written JSON file, rejecting unknown fields:
-// a field this version cannot interpret means the file was edited or written
-// by an incompatible version, and dropping it silently could resurrect a job
-// under the wrong options.
+// readStrictJSON loads a server-written JSON file, rejecting unknown fields
+// and trailing bytes (internal/strictjson): a field this version cannot
+// interpret means the file was edited or written by an incompatible version,
+// and dropping it silently could resurrect a job under the wrong options.
 func readStrictJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := strictjson.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil

@@ -1,7 +1,6 @@
 package uavnet
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,6 +8,7 @@ import (
 	"github.com/uav-coverage/uavnet/internal/atomicfile"
 	"github.com/uav-coverage/uavnet/internal/core"
 	"github.com/uav-coverage/uavnet/internal/portfolio"
+	"github.com/uav-coverage/uavnet/internal/strictjson"
 )
 
 // scenarioFile is the on-disk JSON layout, versioned so future format
@@ -34,13 +34,17 @@ func MarshalScenario(sc *Scenario) ([]byte, error) {
 // not a silent drop. Scenarios arrive from untrusted clients (the uavserve
 // POST body is exactly this format), and an option silently ignored is the
 // worst possible failure mode: the caller gets a valid-looking answer to a
-// different question.
+// different question. For the same reason anything but whitespace after the
+// JSON value is an error. Million-user files decode in one pass over data
+// (decodeScenarioFast); any input that path declines is decoded whole by
+// the strict decoder.
 func UnmarshalScenario(data []byte) (*Scenario, error) {
-	var f scenarioFile
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return nil, fmt.Errorf("uavnet: bad scenario JSON: %w", err)
+	f := decodeScenarioFast(data)
+	if f == nil {
+		f = new(scenarioFile)
+		if err := strictjson.Unmarshal(data, f); err != nil {
+			return nil, fmt.Errorf("uavnet: bad scenario JSON: %w", err)
+		}
 	}
 	if f.Version != scenarioFileVersion {
 		return nil, fmt.Errorf("uavnet: unsupported scenario version %d (want %d)", f.Version, scenarioFileVersion)

@@ -1,6 +1,7 @@
 package uavnet_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -180,5 +181,37 @@ func TestLoadPortfolioCheckpointRejectsUnknownFields(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sovler") {
 		t.Errorf("error should name the offending field %q, got: %v", "sovler", err)
+	}
+}
+
+// TestUnmarshalScenarioTrailingBytes pins the strict-JSON rule on the
+// scenario loader, in the indented layout SaveScenario writes and in the
+// compact one uavserve re-assembles from a POST body: a second value or
+// any junk after the scenario is an error, a trailing newline is not.
+func TestUnmarshalScenarioTrailingBytes(t *testing.T) {
+	t.Parallel()
+	sc, err := uavnet.GenerateScenario(uavnet.ScenarioSpec{N: 20, K: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := uavnet.MarshalScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	for _, valid := range [][]byte{indented, compact.Bytes()} {
+		for _, tail := range []string{"", "\n", " \r\n\t"} {
+			if _, err := uavnet.UnmarshalScenario(append(append([]byte{}, valid...), tail...)); err != nil {
+				t.Errorf("scenario + %q rejected: %v", tail, err)
+			}
+		}
+		for _, tail := range []string{"x", "{}", " garbage", `{"version":2}`} {
+			if _, err := uavnet.UnmarshalScenario(append(append([]byte{}, valid...), tail...)); err == nil {
+				t.Errorf("scenario + %q accepted", tail)
+			}
+		}
 	}
 }
