@@ -25,7 +25,7 @@ func Aggregate(sc *Scenario, opts AggregateOptions) (*Demand, error) {
 	return core.Aggregate(sc, opts)
 }
 
-// NewAggregateInstance precomputes a demand-aggregated instance: Deploy*,
+// NewAggregateInstance precomputes a demand-aggregated instance: Solve,
 // EvaluatePlacement, Verify, gateway helpers and checkpoints all accept it,
 // and every returned Deployment still carries a full per-user assignment
 // (demand is expanded back to individuals deterministically).

@@ -53,7 +53,7 @@ func BenchmarkFig4(b *testing.B) {
 			in := benchInstance(b, p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dep, err := uavnet.DeployInstance(in, uavnet.Options{S: 2, Workers: 2})
+				dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{S: 2, Workers: 2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -69,7 +69,7 @@ func BenchmarkFig4(b *testing.B) {
 			in := benchInstance(b, benchParams())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := uavnet.DeployWith(name, in, uavnet.Options{}); err != nil {
+				if _, err := uavnet.DeployWithContext(context.Background(), name, in, uavnet.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -86,7 +86,7 @@ func BenchmarkFig5(b *testing.B) {
 			in := benchInstance(b, p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := uavnet.DeployInstance(in, uavnet.Options{S: 2, Workers: 2}); err != nil {
+				if _, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{S: 2, Workers: 2}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -104,7 +104,7 @@ func BenchmarkFig6(b *testing.B) {
 			served := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dep, err := uavnet.DeployInstance(in, uavnet.Options{S: s, Workers: 2})
+				dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{S: s, Workers: 2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func BenchmarkFig6(b *testing.B) {
 
 // BenchmarkShardScaling measures the shard layer (PR 7) on the Fig. 6 s=3
 // point: the same enumeration split into 1, 2, 4, and 8 in-process shards
-// solved concurrently by ShardPool and merged. The served metric must match
+// solved concurrently by the in-process shard pool and merged. The served metric must match
 // across all shard counts — sharding changes wall-clock only, never the
 // answer. Speedup over shards=1 tracks available cores; on a single-core
 // runner all points degenerate to the same time/op (the merge adds
@@ -126,11 +126,10 @@ func BenchmarkShardScaling(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("approAlg/s=3/shards=%d", shards), func(b *testing.B) {
 			in := benchInstance(b, benchParams())
-			pool := uavnet.ShardPool{Shards: shards}
 			served := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dep, err := pool.Run(context.Background(), in, uavnet.Options{S: 3})
+				dep, _, err := uavnet.Solve(context.Background(), in, uavnet.Options{S: 3}, shards, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -166,7 +165,7 @@ func BenchmarkPortfolio(b *testing.B) {
 			served, evals := 0, int64(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dep, err := uavnet.DeployInstance(in, uavnet.Options{
+				dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{
 					S: 3, Solver: "portfolio", SolverBudget: budget, Seed: 1,
 				})
 				if err != nil {
@@ -185,7 +184,7 @@ func BenchmarkPortfolio(b *testing.B) {
 		served := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dep, err := uavnet.DeployInstance(in, uavnet.Options{S: 3, StopAfter: 20_000})
+			dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{S: 3, StopAfter: 20_000})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -217,7 +216,7 @@ func BenchmarkAblation(b *testing.B) {
 			served := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dep, err := uavnet.DeployInstance(in, v.opts)
+				dep, err := uavnet.DeployInstanceContext(context.Background(), in, v.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -260,7 +259,7 @@ func BenchmarkAggregateSolve(b *testing.B) {
 			served := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dep, err := uavnet.DeployInstance(in, solve)
+				dep, err := uavnet.DeployInstanceContext(context.Background(), in, solve)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -278,7 +277,7 @@ func BenchmarkAggregateSolve(b *testing.B) {
 			served := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dep, err := uavnet.DeployInstance(in, solve)
+				dep, err := uavnet.DeployInstanceContext(context.Background(), in, solve)
 				if err != nil {
 					b.Fatal(err)
 				}

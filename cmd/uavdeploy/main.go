@@ -31,8 +31,10 @@
 // -shards N splits the anchor-subset enumeration into N contiguous index
 // shards solved concurrently in-process and merged deterministically — the
 // deployment is byte-identical to the unsharded run. An interrupted sharded
-// run writes a merged checkpoint (-checkpoint) that a plain -resume run
-// continues. For multi-process or multi-box sharding, see cmd/uavshard.
+// run writes a merged checkpoint (-checkpoint); a -resume run continues it
+// unsharded, with or without -shards, to the same bytes. A sharded run prints
+// no -progress lines. For multi-process or multi-box sharding, see
+// cmd/uavshard.
 //
 // Large m (metaheuristic portfolio):
 //
@@ -44,7 +46,9 @@
 // all four). -budget caps the anchor-subset evaluations per member (0 = a
 // sensible default); same seed + same budget reproduces the deployment
 // byte-for-byte. -timeout/-checkpoint/-resume work as for the enumeration —
-// a portfolio checkpoint freezes every member's search state.
+// a portfolio checkpoint freezes every member's search state. -resume reads
+// either checkpoint kind from the file itself and refuses one that does not
+// match -solver, naming both.
 package main
 
 import (
@@ -61,38 +65,62 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "uavdeploy:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("uavdeploy", flag.ContinueOnError)
 	var (
-		scenarioPath = flag.String("scenario", "", "scenario JSON (from uavgen); empty generates one")
-		alg          = flag.String("alg", "approAlg", `algorithm: approAlg | MCS | MotionCtrl | GreedyAssign | maxThroughput | all`)
-		s            = flag.Int("s", 3, "approAlg anchor parameter s")
-		workers      = flag.Int("workers", 0, "approAlg worker goroutines (0 = all cores)")
-		shards       = flag.Int("shards", 0, "split the approAlg enumeration into this many in-process shards solved concurrently and merged (result identical to unsharded; 0/1 = off)")
-		maxSubsets   = flag.Int("max-subsets", 0, "approAlg anchor-subset cap (0 = exhaustive)")
-		solver       = flag.String("solver", "enum", "anchor-subset solver: enum | anneal | tabu | grasp | genetic | portfolio (race all four)")
-		budget       = flag.Int64("budget", 0, "evaluations per solver member for -solver (0 = default; enum ignores it)")
-		n            = flag.Int("n", 500, "users when generating inline")
-		k            = flag.Int("k", 8, "UAVs when generating inline")
-		seed         = flag.Int64("seed", 1, "seed when generating inline; also drives the -solver RNGs")
-		showMap      = flag.Bool("map", true, "print the ASCII placement map")
-		literal      = flag.Bool("literal", false, "run approAlg exactly as the paper's pseudocode (ground leftover UAVs)")
-		refine       = flag.Bool("refine", false, "refine the assignment to minimize total pathloss")
-		gatewayAt    = flag.String("gateway", "", "gateway position as \"x,y\" meters; builds a relay chain to it")
-		verifyDep    = flag.Bool("verify", false, "run the feasibility oracle on every deployment; exit non-zero on violations")
-		timeout      = flag.Duration("timeout", 0, "abort the run after this long, keeping the best-so-far deployment (0 = none)")
-		progressIntv = flag.Duration("progress", 0, "print approAlg progress to stderr at this interval (0 = off)")
-		ckptPath     = flag.String("checkpoint", "", "write a resumable checkpoint here when the run is stopped early")
-		resumePath   = flag.String("resume", "", "resume an approAlg run from this checkpoint file")
-		aggCell      = flag.Float64("agg-cell", 0, "aggregate users into weighted demand cells with this side in meters before solving (approAlg only; 0 = per-user)")
-		outPath      = flag.String("out", "", "write the final deployment as JSON here")
+		scenarioPath = fs.String("scenario", "", "scenario JSON (from uavgen); empty generates one")
+		alg          = fs.String("alg", "approAlg", `algorithm: approAlg | MCS | MotionCtrl | GreedyAssign | maxThroughput | all`)
+		s            = fs.Int("s", 3, "approAlg anchor parameter s")
+		workers      = fs.Int("workers", 0, "approAlg worker goroutines (0 = all cores)")
+		shards       = fs.Int("shards", 0, "split the approAlg enumeration into this many in-process shards solved concurrently and merged (result identical to unsharded; 0/1 = off; a -resume run is unsharded)")
+		maxSubsets   = fs.Int("max-subsets", 0, "approAlg anchor-subset cap (0 = exhaustive)")
+		solver       = fs.String("solver", "enum", "anchor-subset solver: enum | anneal | tabu | grasp | genetic | portfolio (race all four)")
+		budget       = fs.Int64("budget", 0, "evaluations per solver member for -solver (0 = default; enum ignores it)")
+		n            = fs.Int("n", 500, "users when generating inline")
+		k            = fs.Int("k", 8, "UAVs when generating inline")
+		seed         = fs.Int64("seed", 1, "seed when generating inline; also drives the -solver RNGs")
+		showMap      = fs.Bool("map", true, "print the ASCII placement map")
+		literal      = fs.Bool("literal", false, "run approAlg exactly as the paper's pseudocode (ground leftover UAVs)")
+		refine       = fs.Bool("refine", false, "refine the assignment to minimize total pathloss")
+		gatewayAt    = fs.String("gateway", "", "gateway position as \"x,y\" meters; builds a relay chain to it")
+		verifyDep    = fs.Bool("verify", false, "run the feasibility oracle on every deployment; exit non-zero on violations")
+		timeout      = fs.Duration("timeout", 0, "abort the run after this long, keeping the best-so-far deployment (0 = none)")
+		progressIntv = fs.Duration("progress", 0, "print approAlg progress to stderr at this interval (0 = off; a sharded run reports none)")
+		ckptPath     = fs.String("checkpoint", "", "write a resumable checkpoint here when the run is stopped early")
+		resumePath   = fs.String("resume", "", "resume an approAlg run from this checkpoint file (either kind)")
+		aggCell      = fs.Float64("agg-cell", 0, "aggregate users into weighted demand cells with this side in meters before solving (approAlg only; 0 = per-user)")
+		outPath      = fs.String("out", "", "write the final deployment as JSON here")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	names := []string{*alg}
+	if *alg == "all" {
+		names = uavnet.AlgorithmNames()
+	}
+	opts := uavnet.Options{
+		S: *s, Workers: *workers, MaxSubsets: *maxSubsets, GroundLeftovers: *literal,
+		Solver: *solver, SolverBudget: *budget,
+	}
+	if !opts.SolverIsEnum() {
+		// -seed drives the solver RNGs; enum runs keep Seed zero so existing
+		// -max-subsets checkpoints stay resumable.
+		opts.Seed = *seed
+	}
+	if *progressIntv > 0 {
+		opts.ProgressInterval = *progressIntv
+		opts.Progress = printProgress
+	}
+	if err := checkFlags(names, opts, *shards, *gatewayAt != "", *aggCell > 0, *refine); err != nil {
+		return err
+	}
 
 	// SIGINT stops the solver gracefully: workers drain, the best-so-far
 	// deployment is reported, and -checkpoint captures the frontier.
@@ -114,58 +142,24 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	names := []string{*alg}
-	if *alg == "all" {
-		names = uavnet.AlgorithmNames()
-	}
-	solverIsEnum := *solver == "" || *solver == "enum"
-	if !solverIsEnum {
-		switch {
-		case *alg != "approAlg":
-			return fmt.Errorf("-solver replaces the approAlg enumeration; it needs -alg approAlg")
-		case *shards > 1:
-			return fmt.Errorf("-shards and -solver are incompatible: the metaheuristics do not enumerate")
-		case *maxSubsets != 0:
-			return fmt.Errorf("-max-subsets and -solver are incompatible: cap work with -budget instead")
-		case *gatewayAt != "":
-			return fmt.Errorf("-gateway and -solver are incompatible: gateway planning needs the enumeration's required-cell filter")
-		}
-	} else if *budget != 0 {
-		return fmt.Errorf("-budget needs a metaheuristic -solver (anneal | tabu | grasp | genetic | portfolio)")
-	}
-	if *shards > 1 {
-		// The in-process shard pool owns resume and progress (see
-		// ShardPool.Run); multi-shard runs of the other algorithms make no
-		// sense since only approAlg enumerates.
-		if *alg != "approAlg" {
-			return fmt.Errorf("-shards supports only -alg approAlg")
-		}
-		if *resumePath != "" {
-			return fmt.Errorf("-shards and -resume are incompatible: resume a merged checkpoint with an unsharded run, or per-shard checkpoints with uavshard worker -resume")
-		}
-		if *progressIntv > 0 {
-			return fmt.Errorf("-shards and -progress are incompatible")
-		}
-		if *gatewayAt != "" {
-			return fmt.Errorf("-shards and -gateway are incompatible")
-		}
-	}
 	var in *uavnet.Instance
 	if *aggCell > 0 {
-		for _, name := range names {
-			if name != "approAlg" {
-				return fmt.Errorf("-agg-cell supports only approAlg; %s needs a per-user instance", name)
-			}
-		}
-		if *refine {
-			return fmt.Errorf("-agg-cell and -refine are incompatible: pathloss refinement needs a per-user instance")
-		}
 		in, err = uavnet.NewAggregateInstance(sc, uavnet.AggregateOptions{CellSide: *aggCell})
 	} else {
 		in, err = uavnet.NewInstance(sc)
 	}
 	if err != nil {
 		return err
+	}
+	var gw uavnet.Gateway
+	if *gatewayAt != "" {
+		if gw, err = parseGateway(*gatewayAt); err != nil {
+			return err
+		}
+		// approAlg plans the gateway in: its cells become required anchors.
+		if opts.RequiredCells = in.GatewayCells(gw); len(opts.RequiredCells) == 0 {
+			return fmt.Errorf("no candidate cell within %g m of the gateway", sc.UAVRange)
+		}
 	}
 	fmt.Printf("scenario: %d users, %d UAVs, %d cells, area %.0fx%.0f m\n",
 		sc.N(), sc.K(), sc.M(), sc.Grid.Length, sc.Grid.Width)
@@ -174,107 +168,44 @@ func run() error {
 			len(dem.Cells), dem.Grid.Side, in.Fingerprint())
 	}
 	fmt.Println()
-	opts := uavnet.Options{
-		S: *s, Workers: *workers, MaxSubsets: *maxSubsets, GroundLeftovers: *literal,
-		Solver: *solver, SolverBudget: *budget,
-	}
-	if !solverIsEnum {
-		// -seed drives the solver RNGs; enum runs keep Seed zero so existing
-		// -max-subsets checkpoints stay resumable.
-		opts.Seed = *seed
-	}
-	if *progressIntv > 0 {
-		opts.ProgressInterval = *progressIntv
-		opts.Progress = printProgress
-	}
-	var portfolioResume *uavnet.PortfolioCheckpoint
+	var resume *uavnet.RunCheckpoint
 	if *resumePath != "" {
-		if solverIsEnum {
-			cp, err := uavnet.LoadCheckpoint(*resumePath)
-			if err != nil {
-				return err
-			}
-			opts.Resume = cp
-			fmt.Printf("resuming from %s: cursor %d / %d subsets\n", *resumePath, cp.Cursor, cp.Total)
-		} else {
-			portfolioResume, err = uavnet.LoadPortfolioCheckpoint(*resumePath)
-			if err != nil {
-				return err
-			}
-			var spent int64
-			for _, m := range portfolioResume.Members {
-				spent += m.Evals
-			}
-			fmt.Printf("resuming from %s: %d members, %d evaluations spent\n",
-				*resumePath, len(portfolioResume.Members), spent)
+		if resume, err = uavnet.LoadRunCheckpoint(*resumePath); err != nil {
+			return err
 		}
+		done, total := resume.Frontier()
+		fmt.Printf("resuming from %s at %d / %d\n", *resumePath, done, total)
 	}
 
 	var runErr error
 	for _, name := range names {
 		start := time.Now()
-		var dep *uavnet.Deployment
-		portfolioCkptSaved := false
-		switch {
-		case name == "approAlg" && !solverIsEnum:
-			// Metaheuristic path: the race returns its own checkpoint type
-			// (per-member search states), saved here because dep.Checkpoint
-			// only carries enumeration checkpoints.
-			d, pcp, err := uavnet.DeployPortfolioContext(ctx, in, opts, portfolioResume)
-			if pcp != nil && *ckptPath != "" {
-				if serr := uavnet.SavePortfolioCheckpoint(*ckptPath, pcp); serr != nil {
-					return fmt.Errorf("%s: checkpoint: %w", name, serr)
-				}
-				portfolioCkptSaved = true
-			}
-			if err != nil && d == nil {
-				if portfolioCkptSaved {
-					fmt.Printf("run stopped before any feasible deployment; resume with -resume %s\n", *ckptPath)
-				}
-				return fmt.Errorf("%s (-solver %s): %w", name, *solver, err)
-			}
-			dep = d
-			runErr = errors.Join(runErr, err)
-		case *gatewayAt != "" && name == "approAlg":
-			// approAlg plans the gateway in: its cells become required anchors.
-			gw, err := parseGateway(*gatewayAt)
-			if err != nil {
-				return err
-			}
-			dep, err = uavnet.DeployToGatewayContext(ctx, in, gw, opts)
-			if err != nil && dep == nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			runErr = errors.Join(runErr, err)
-		case name == "approAlg" && *shards > 1:
-			// In-process sharding: the pool splits the enumeration, solves
-			// shards concurrently (-workers goroutines each), and merges.
-			// On SIGINT/-timeout the merged checkpoint lands in -checkpoint
-			// below, resumable by an unsharded -resume run.
-			pool := uavnet.ShardPool{Shards: *shards, WorkersPerShard: *workers}
-			var err error
-			dep, err = pool.Run(ctx, in, opts)
-			if err != nil && dep == nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			runErr = errors.Join(runErr, err)
-		default:
-			var err error
+		var (
+			dep *uavnet.Deployment
+			cp  *uavnet.RunCheckpoint
+			err error
+		)
+		if name == "approAlg" {
+			dep, cp, err = uavnet.Solve(ctx, in, opts, *shards, resume)
+		} else {
 			dep, err = uavnet.DeployWithContext(ctx, name, in, opts)
-			if err != nil && dep == nil {
-				return fmt.Errorf("%s: %w", name, err)
+		}
+		if cp != nil && *ckptPath != "" {
+			if serr := uavnet.SaveRunCheckpoint(*ckptPath, cp); serr != nil {
+				return fmt.Errorf("%s: checkpoint: %w", name, serr)
 			}
-			runErr = errors.Join(runErr, err)
-			if *gatewayAt != "" && dep.Status != uavnet.StatusStopped {
-				// Baselines are gateway-oblivious; retrofit a relay chain.
-				gw, err := parseGateway(*gatewayAt)
-				if err != nil {
-					return err
-				}
-				dep, err = uavnet.ConnectToGateway(in, dep, gw)
-				if err != nil {
-					return fmt.Errorf("%s: gateway: %w", name, err)
-				}
+		}
+		if err != nil && dep == nil {
+			if cp != nil && *ckptPath != "" {
+				fmt.Printf("run stopped before any feasible deployment; resume with -resume %s\n", *ckptPath)
+			}
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		runErr = errors.Join(runErr, err)
+		if *gatewayAt != "" && name != "approAlg" && dep.Status != uavnet.StatusStopped {
+			// Baselines are gateway-oblivious; retrofit a relay chain.
+			if dep, err = uavnet.ConnectToGateway(in, dep, gw); err != nil {
+				return fmt.Errorf("%s: gateway: %w", name, err)
 			}
 		}
 		if *refine && dep.Status != uavnet.StatusStopped {
@@ -289,17 +220,10 @@ func run() error {
 		elapsed := time.Since(start)
 		report(in, dep, elapsed, *showMap)
 		if dep.Status == uavnet.StatusStopped {
-			switch {
-			case *ckptPath != "" && dep.Checkpoint != nil:
-				if err := uavnet.SaveCheckpoint(*ckptPath, dep.Checkpoint); err != nil {
-					return fmt.Errorf("%s: checkpoint: %w", name, err)
-				}
-				fmt.Printf("run stopped at subset %d / %d; resume with -resume %s\n\n",
-					dep.Checkpoint.Cursor, dep.Checkpoint.Total, *ckptPath)
-			case portfolioCkptSaved:
-				fmt.Printf("run stopped after %d evaluations; resume with -resume %s\n\n",
-					dep.SubsetsEvaluated, *ckptPath)
-			default:
+			if cp != nil && *ckptPath != "" {
+				done, total := cp.Frontier()
+				fmt.Printf("run stopped at %d / %d; resume with -resume %s\n\n", done, total, *ckptPath)
+			} else {
 				fmt.Printf("run stopped early; pass -checkpoint to make it resumable\n\n")
 			}
 		}
@@ -319,6 +243,33 @@ func run() error {
 	return runErr
 }
 
+// checkFlags rejects flag combinations before any input is read: the checks
+// on uavdeploy's own flags (-alg, -refine with -agg-cell), then every
+// cross-option rule of uavnet.ValidateOptions. A gateway is known only as a
+// position here, so a placeholder required cell stands for it.
+func checkFlags(names []string, opts uavnet.Options, shards int, gateway, aggregated, refine bool) error {
+	for _, name := range names {
+		if name == "approAlg" {
+			continue
+		}
+		switch {
+		case !opts.SolverIsEnum():
+			return fmt.Errorf("-solver replaces the approAlg enumeration; it needs -alg approAlg")
+		case shards > 1:
+			return fmt.Errorf("-shards supports only -alg approAlg")
+		case aggregated:
+			return fmt.Errorf("-agg-cell supports only approAlg; %s needs a per-user instance", name)
+		}
+	}
+	if aggregated && refine {
+		return fmt.Errorf("-agg-cell and -refine are incompatible: pathloss refinement needs a per-user instance")
+	}
+	if gateway {
+		opts.RequiredCells = []int{0}
+	}
+	return uavnet.ValidateOptions(opts, shards)
+}
+
 // printProgress renders one Options.Progress snapshot to stderr.
 func printProgress(p uavnet.RunProgress) {
 	eta := "?"
@@ -335,20 +286,6 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// isSolverAlg reports whether the deployment came from the metaheuristic
-// portfolio ("anneal" .. "genetic" when a single member ran, or
-// "portfolio/<member>" naming the race's winner).
-func isSolverAlg(name string) bool {
-	if strings.HasPrefix(name, "portfolio/") {
-		return true
-	}
-	switch name {
-	case "anneal", "tabu", "grasp", "genetic":
-		return true
-	}
-	return false
 }
 
 // parseGateway parses an "x,y" position in meters.
@@ -374,7 +311,7 @@ func report(in *uavnet.Instance, dep *uavnet.Deployment, elapsed time.Duration, 
 			dep.Budget.LMax, dep.Budget.S, uavnet.ApproxRatio(sc.K(), dep.Budget.S))
 		fmt.Printf("subsets:        %d evaluated, %d pruned\n",
 			dep.SubsetsEvaluated, dep.SubsetsPruned)
-	case isSolverAlg(dep.Algorithm):
+	case dep.SubsetsEvaluated > 0: // a metaheuristic; baselines count no subsets
 		fmt.Printf("budget:         L_max=%d s=%d\n", dep.Budget.LMax, dep.Budget.S)
 		fmt.Printf("evaluations:    %d (metaheuristic search; no enumeration)\n",
 			dep.SubsetsEvaluated)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestAsciiMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := uavnet.DeployInstance(in, uavnet.Options{S: 1, Workers: 1})
+	dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{S: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestVerifyCleanDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := uavnet.DeployInstance(in, uavnet.Options{S: 1, Workers: 1})
+	dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{S: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

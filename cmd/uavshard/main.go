@@ -199,27 +199,26 @@ func workerCmd(args []string) error {
 		opts.ProgressInterval = *progressIntv
 		opts.Progress = printProgress
 	}
+	var resume *uavnet.RunCheckpoint
 	if *resumePath != "" {
-		cp, err := uavnet.LoadCheckpoint(*resumePath)
-		if err != nil {
+		if resume, err = uavnet.LoadRunCheckpoint(*resumePath); err != nil {
 			return err
 		}
-		opts.Resume = cp
 	}
 
 	start := time.Now()
-	dep, runErr := uavnet.DeployInstanceContext(ctx, in, opts)
+	dep, run, runErr := uavnet.Solve(ctx, in, opts, 0, resume)
 	if runErr != nil && dep == nil {
 		return runErr
 	}
 	elapsed := time.Since(start)
-	cp := dep.Checkpoint
-	if cp == nil {
+	if run == nil {
 		return fmt.Errorf("shard run returned no checkpoint")
 	}
-	if err := uavnet.SaveCheckpoint(*outPath, cp); err != nil {
+	if err := uavnet.SaveRunCheckpoint(*outPath, run); err != nil {
 		return err
 	}
+	cp := run.Enum
 	r := cp.Range()
 	bestServed := 0
 	if cp.Best != nil {
@@ -266,8 +265,12 @@ func mergeCmd(args []string) error {
 	}
 	cps := make([]*uavnet.Checkpoint, len(paths))
 	for i, p := range paths {
-		if cps[i], err = uavnet.LoadCheckpoint(p); err != nil {
+		cp, err := uavnet.LoadRunCheckpoint(p)
+		if err != nil {
 			return err
+		}
+		if cps[i] = cp.Enum; cps[i] == nil {
+			return fmt.Errorf("%s is a portfolio checkpoint; merge takes shard partials", p)
 		}
 	}
 

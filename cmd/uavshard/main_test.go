@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -55,7 +56,7 @@ func writeTestScenario(t *testing.T, dir string) (string, *uavnet.Instance) {
 // way SaveDeployment would, for byte comparison against the CLI output.
 func referenceDeployment(t *testing.T, in *uavnet.Instance, opts uavnet.Options) []byte {
 	t.Helper()
-	dep, err := uavnet.DeployInstance(in, opts)
+	dep, err := uavnet.DeployInstanceContext(context.Background(), in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +117,11 @@ func TestWorkerStopResumeThenMerge(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-resume") {
 		t.Fatalf("interrupted worker error = %v, want a hint to -resume", err)
 	}
-	cp, err := uavnet.LoadCheckpoint(part0)
+	run, err := uavnet.LoadRunCheckpoint(part0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Cursor != 3 || cp.Complete() {
+	if cp := run.Enum; cp.Cursor != 3 || cp.Complete() {
 		t.Fatalf("interrupted shard checkpoint: cursor %d, complete %v; want 3, false", cp.Cursor, cp.Complete())
 	}
 
@@ -179,11 +180,11 @@ func TestMergeIncompleteWritesResumableCheckpoint(t *testing.T) {
 
 	// The merged checkpoint must resume under plain unsharded options to the
 	// exact single-process deployment.
-	cp, err := uavnet.LoadCheckpoint(mergedCkpt)
+	cp, err := uavnet.LoadRunCheckpoint(mergedCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := uavnet.DeployInstance(in, uavnet.Options{S: 2, Resume: cp})
+	dep, _, err := uavnet.Solve(context.Background(), in, uavnet.Options{S: 2}, 0, cp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // These tests pin the re-entrancy contract the uavserve worker pool depends
-// on: any number of DeployContext / DeployPortfolioContext jobs may run
+// on: any number of DeployInstanceContext / DeployPortfolioContext jobs may run
 // simultaneously — over distinct scenarios or over one shared scenario and
 // instance — and each must produce a deployment byte-identical to the same
 // solve run alone. Run them under -race (CI does): the assertion here is as
@@ -44,7 +44,11 @@ func TestConcurrentDeployDistinctScenarios(t *testing.T) {
 	opts := uavnet.Options{S: 3, Workers: 2}
 	for i := range scenarios {
 		scenarios[i] = concurrencyScenario(t, int64(i+1))
-		dep, err := uavnet.DeployContext(context.Background(), scenarios[i], opts)
+		in, err := uavnet.NewInstance(scenarios[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := uavnet.DeployInstanceContext(context.Background(), in, opts)
 		if err != nil {
 			t.Fatalf("solo job %d: %v", i, err)
 		}
@@ -58,7 +62,12 @@ func TestConcurrentDeployDistinctScenarios(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			dep, err := uavnet.DeployContext(context.Background(), scenarios[i], opts)
+			in, err := uavnet.NewInstance(scenarios[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			dep, err := uavnet.DeployInstanceContext(context.Background(), in, opts)
 			if err != nil {
 				errs[i] = err
 				return

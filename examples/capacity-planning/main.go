@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -51,10 +52,15 @@ func main() {
 		base.N(), base.Grid.Length, base.Grid.Width)
 	fmt.Println("fleet option                          served (approAlg)")
 
+	ctx := context.Background()
 	bestServed, bestIdx := -1, -1
 	for i, f := range options {
 		sc := withFleet(base, f.capacities)
-		dep, err := uavnet.Deploy(sc, uavnet.Options{S: 2})
+		in, err := uavnet.NewInstance(sc)
+		if err != nil {
+			log.Fatalf("%s: %v", f.label, err)
+		}
+		dep, _, err := uavnet.Solve(ctx, in, uavnet.Options{S: 2}, 0, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", f.label, err)
 		}
@@ -76,7 +82,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, name := range uavnet.AlgorithmNames()[1:] {
-		dep, err := uavnet.DeployWith(name, in, uavnet.Options{})
+		dep, err := uavnet.DeployWithContext(ctx, name, in, uavnet.Options{})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 	fmt.Println("algorithm comparison (served users):")
 	var approDep *uavnet.Deployment
 	for _, name := range uavnet.AlgorithmNames() {
-		dep, err := uavnet.DeployWith(name, in, uavnet.Options{S: 2})
+		dep, err := uavnet.DeployWithContext(context.Background(), name, in, uavnet.Options{S: 2})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,8 @@ func main() {
 		sc.N(), sc.K(), gw.Pos.X, gw.Pos.Y)
 
 	// Gateway-oblivious deployment.
-	free, err := uavnet.DeployInstance(in, opts)
+	ctx := context.Background()
+	free, _, err := uavnet.Solve(ctx, in, opts, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 		free.Served, uavnet.GatewayReachable(in, free, gw))
 
 	// Planned-in gateway: its cells become required anchors.
-	pinned, err := uavnet.DeployToGateway(in, gw, opts)
+	pinned, err := uavnet.DeployToGatewayContext(ctx, in, gw, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,14 +29,16 @@ func main() {
 		CMax:     120,
 		Seed:     3,
 	}
-	sc, err := uavnet.GenerateScenario(spec)
+	in0, err := uavnet.GenerateInstance(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	sc := in0.Scenario
 	opts := uavnet.Options{S: 2}
+	ctx := context.Background()
 
 	// Initial deployment on the time-zero positions.
-	initial, err := uavnet.Deploy(sc, opts)
+	initial, _, err := uavnet.Solve(ctx, in0, opts, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// Re-planning policy: run the full algorithm again.
-		replan, err := uavnet.DeployInstance(in, opts)
+		replan, _, err := uavnet.Solve(ctx, in, opts, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

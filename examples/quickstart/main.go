@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,16 +26,17 @@ func main() {
 		CMax:     120,
 		Seed:     42,
 	}
-	sc, err := uavnet.GenerateScenario(spec)
+	in, err := uavnet.GenerateInstance(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	sc := in.Scenario
 	fmt.Printf("scenario: %d users, %d UAVs, %d candidate hovering cells\n",
 		sc.N(), sc.K(), sc.M())
 
-	// Deploy with approAlg (s = 2 keeps the demo fast; s = 3 is the paper's
-	// recommended quality setting).
-	dep, err := uavnet.Deploy(sc, uavnet.Options{S: 2})
+	// Solve with approAlg (s = 2 keeps the demo fast; s = 3 is the paper's
+	// recommended quality setting): no shards, nothing to resume.
+	dep, _, err := uavnet.Solve(context.Background(), in, uavnet.Options{S: 2}, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,12 +53,8 @@ func main() {
 			k, sc.UAVs[k].Capacity, col, row, dep.Assignment.PerStation[k])
 	}
 
-	// The deployment is guaranteed connected; verify and report the
-	// theoretical approximation ratio for this fleet size.
-	in, err := uavnet.NewInstance(sc)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// The deployment is guaranteed connected; report the theoretical
+	// approximation ratio for this fleet size.
 	fmt.Printf("network connected: %v\n", uavnet.Connected(in, dep))
 	fmt.Printf("worst-case guarantee: at least %.1f%% of the optimum (Theorem 1)\n",
 		100*uavnet.ApproxRatio(sc.K(), 2))

@@ -10,10 +10,9 @@ import (
 // worker loop precisely so callers control cancellation; a Background() in a
 // library path silently detaches everything below it from that chain, and
 // the resulting "cancel doesn't cancel" bug only shows up under timeout
-// tests. Fresh root contexts belong in cmd/ binaries and tests. The two
-// sanctioned library shapes — compatibility shims like Deploy →
-// DeployContext, and nil-ctx normalization at an API boundary — carry
-// //uavlint:allow ctxthread with a reason.
+// tests. Fresh root contexts belong in cmd/ binaries and tests. The
+// sanctioned library shape — nil-ctx normalization at an API boundary —
+// carries //uavlint:allow ctxthread with a reason.
 var CtxThread = &Analyzer{
 	Name: "ctxthread",
 	Doc:  "flag context.Background()/TODO() in library code; roots belong in cmd/ and tests",
@@ -35,7 +34,7 @@ func runCtxThread(pass *Pass) error {
 			}
 			if pkg, name, ok := packageFunc(pass.Info, call); ok && pkg == "context" &&
 				(name == "Background" || name == "TODO") {
-				pass.Reportf(call.Pos(), "context.%s() in library code detaches callees from the caller's cancellation chain; accept a ctx parameter (cf. DeployContext), or annotate a sanctioned shim with //uavlint:allow ctxthread", name)
+				pass.Reportf(call.Pos(), "context.%s() in library code detaches callees from the caller's cancellation chain; accept a ctx parameter (cf. uavnet.Solve), or annotate a sanctioned shim with //uavlint:allow ctxthread", name)
 			}
 			return true
 		})

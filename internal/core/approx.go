@@ -87,7 +87,9 @@ type Options struct {
 	// the same Shard, an unsharded or merged one only without); Approx
 	// rejects any mismatch. A merged checkpoint's Remaining holes are
 	// re-enumerated exactly. A resumed run that finishes yields a
-	// deployment byte-identical to an uninterrupted one.
+	// deployment byte-identical to an uninterrupted one. Callers of the
+	// solve driver leave it nil and pass the checkpoint to the driver,
+	// which sets it.
 	Resume *Checkpoint
 	// Progress, when non-nil, receives periodic Progress snapshots from a
 	// monitor goroutine every ProgressInterval, plus one final synchronous
@@ -103,7 +105,7 @@ type Options struct {
 	// "genetic", or "portfolio" to race all four — which trades the
 	// worst-case guarantee for a budgeted local search that escapes the
 	// C(m, s) wall at large m. Approx itself rejects those values; the
-	// facade dispatches them to the portfolio driver.
+	// solve driver (internal/solve) dispatches them to portfolio.Race.
 	Solver string
 	// SolverBudget caps the subset evaluations each metaheuristic member may
 	// spend when Solver selects one (zero picks the portfolio package's
@@ -227,7 +229,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 	start := time.Now() //uavlint:allow timenow -- progress/ETA clock; never feeds a solver decision
 	opts = opts.withDefaults()
 	if !opts.SolverIsEnum() {
-		return nil, fmt.Errorf("core: Approx runs the enumeration only; solver %q is served by portfolio.Race (use the uavnet facade)", opts.Solver)
+		return nil, fmt.Errorf("core: Approx runs the enumeration only; solver %q is served by portfolio.Race (use uavnet.Solve)", opts.Solver)
 	}
 	sc := in.Scenario
 	k, m := sc.K(), sc.M()

@@ -166,8 +166,7 @@ func TestShardPoolMatchesUnsharded(t *testing.T) {
 	}
 	want := mustJSON(t, full)
 	for _, count := range []int{1, 4, 8} {
-		pool := ShardPool{Shards: count}
-		dep, err := pool.Run(context.Background(), in, opts)
+		dep, err := RunShards(context.Background(), in, opts, count)
 		if err != nil {
 			t.Fatalf("pool %d: %v", count, err)
 		}
@@ -179,17 +178,19 @@ func TestShardPoolMatchesUnsharded(t *testing.T) {
 		}
 	}
 	// Guard-rail rejections.
-	if _, err := (ShardPool{}).Run(context.Background(), in, opts); err == nil {
+	if _, err := RunShards(context.Background(), in, opts, 0); err == nil {
 		t.Error("zero-shard pool accepted")
 	}
-	if _, err := (ShardPool{Shards: 2}).Run(context.Background(), in, Options{S: 3, Resume: &Checkpoint{}}); err == nil {
+	if _, err := RunShards(context.Background(), in, Options{S: 3, Resume: &Checkpoint{}}, 2); err == nil {
 		t.Error("pool with Resume accepted")
 	}
-	if _, err := (ShardPool{Shards: 2}).Run(context.Background(), in, Options{S: 3, Progress: func(Progress) {}}); err == nil {
-		t.Error("pool with Progress hook accepted")
-	}
-	if _, err := (ShardPool{Shards: 2}).Run(context.Background(), in, Options{S: 3, Shard: ShardSpec{Index: 0, Count: 2}}); err == nil {
+	if _, err := RunShards(context.Background(), in, Options{S: 3, Shard: ShardSpec{Index: 0, Count: 2}}, 2); err == nil {
 		t.Error("pool with explicit Shard accepted")
+	}
+	// The pool never calls the Progress hook (per-shard runs would race on it).
+	called := false
+	if _, err := RunShards(context.Background(), in, Options{S: 3, Progress: func(Progress) { called = true }}, 2); err != nil || called {
+		t.Errorf("pool with Progress hook: err %v, hook called %v", err, called)
 	}
 }
 
@@ -202,7 +203,7 @@ func TestShardPoolCancelledReturnsMergedCheckpoint(t *testing.T) {
 	opts := Options{S: 3, Workers: 2}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dep, err := (ShardPool{Shards: 3}).Run(ctx, in, opts)
+	dep, err := RunShards(ctx, in, opts, 3)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

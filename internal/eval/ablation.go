@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/uav-coverage/uavnet/internal/core"
+	"github.com/uav-coverage/uavnet/internal/solve"
 )
 
 // Ablation measures the effect of the two implementation choices that
@@ -54,7 +55,7 @@ func Ablation(cfg Config) (*Series, error) {
 				opts.MaxSubsets = cfg.MaxSubsets
 			}
 			start := time.Now() //uavlint:allow timenow -- elapsed-time metric is the harness's output
-			dep, err := core.Approx(cfg.context(), in, opts)
+			dep, _, err := solve.Run(cfg.context(), in, opts, 0, nil)
 			if err != nil {
 				return nil, fmt.Errorf("eval: ablation %s: %w", v.name, err)
 			}

@@ -17,7 +17,7 @@ import (
 	"github.com/uav-coverage/uavnet/internal/channel"
 	"github.com/uav-coverage/uavnet/internal/core"
 	"github.com/uav-coverage/uavnet/internal/geom"
-	"github.com/uav-coverage/uavnet/internal/portfolio"
+	"github.com/uav-coverage/uavnet/internal/solve"
 	"github.com/uav-coverage/uavnet/internal/workload"
 )
 
@@ -159,51 +159,25 @@ type Algorithm struct {
 	Run  func(context.Context, *core.Instance) (*core.Deployment, error)
 }
 
-// ApproAlg wraps core.Approx with fixed options under the paper's name.
-// literal selects the pseudocode-exact behaviour (grounded leftovers).
-func ApproAlg(s, workers, maxSubsets int, literal bool) Algorithm {
-	return Algorithm{
-		Name: "approAlg",
-		Run: func(ctx context.Context, in *core.Instance) (*core.Deployment, error) {
-			return core.Approx(ctx, in, core.Options{
-				S: s, Workers: workers, MaxSubsets: maxSubsets, GroundLeftovers: literal,
-			})
-		},
-	}
-}
-
-// SolverAlg wraps portfolio.Race as an Algorithm under the solver's name
-// ("anneal" | "tabu" | "grasp" | "genetic" | "portfolio"): the figure sweeps
-// can then compare a budgeted metaheuristic against the baselines on
-// instances whose C(m,s) puts the enumeration out of reach.
-func SolverAlg(solver string, s int, budget int64, literal bool, seed int64) Algorithm {
-	return Algorithm{
-		Name: solver,
-		Run: func(ctx context.Context, in *core.Instance) (*core.Deployment, error) {
-			dep, _, err := portfolio.Race(ctx, in, core.Options{
-				S: s, Solver: solver, SolverBudget: budget,
-				GroundLeftovers: literal, Seed: seed,
-			}, nil)
-			return dep, err
-		},
-	}
-}
-
 // Algorithms returns approAlg followed by the paper's four baselines.
 func Algorithms(s, workers, maxSubsets int) ([]Algorithm, error) {
-	return AlgorithmsLiteral(s, workers, maxSubsets, false)
+	return algorithmsForNames(baseline.Names(), core.Options{S: s, Workers: workers, MaxSubsets: maxSubsets})
 }
 
-// AlgorithmsLiteral is Algorithms with an explicit pseudocode-exact switch.
-func AlgorithmsLiteral(s, workers, maxSubsets int, literal bool) ([]Algorithm, error) {
-	return algorithmsForNames(baseline.Names(), s, workers, maxSubsets, literal)
-}
-
-// algorithmsForNames assembles approAlg plus the named baselines; an
-// unknown baseline name surfaces as an error rather than a panic, so a
-// harness misconfiguration fails the run instead of crashing the process.
-func algorithmsForNames(names []string, s, workers, maxSubsets int, literal bool) ([]Algorithm, error) {
-	algs := []Algorithm{ApproAlg(s, workers, maxSubsets, literal)}
+// algorithmsForNames assembles approAlg — run by the solve driver under
+// opts, so a metaheuristic opts.Solver takes its place under the solver's
+// own name — plus the named baselines. An unknown baseline name surfaces as
+// an error rather than a panic, so a harness misconfiguration fails the run
+// instead of crashing the process.
+func algorithmsForNames(names []string, opts core.Options) ([]Algorithm, error) {
+	name := "approAlg"
+	if !opts.SolverIsEnum() {
+		name = opts.Solver
+	}
+	algs := []Algorithm{{Name: name, Run: func(ctx context.Context, in *core.Instance) (*core.Deployment, error) {
+		dep, _, err := solve.Run(ctx, in, opts, 0, nil)
+		return dep, err
+	}}}
 	for _, name := range names {
 		run, err := baseline.ByName(name)
 		if err != nil {
@@ -259,9 +233,9 @@ type Config struct {
 	// network greedily.
 	Literal bool
 	// Solver, when a metaheuristic name ("anneal" | "tabu" | "grasp" |
-	// "genetic" | "portfolio"), replaces the approAlg enumeration slot in the
-	// figure sweeps (Figs. 4–6) with portfolio.Race under SolverBudget
-	// evaluations per member. Empty or "enum" keeps the enumeration.
+	// "genetic" | "portfolio"), runs that solver in approAlg's place in the
+	// figure sweeps (Figs. 4–6) under SolverBudget evaluations per member.
+	// Empty or "enum" keeps the enumeration.
 	// Ablation and Heterogeneity always use the enumeration — they study its
 	// internal switches.
 	Solver string
@@ -294,18 +268,19 @@ func (c Config) progress(format string, args ...any) {
 	}
 }
 
-// algorithms assembles the competitor list for anchor parameter s: the
-// enumeration — or the configured metaheuristic solver in its slot — plus
-// the paper's four baselines.
+// algorithms assembles the competitor list for anchor parameter s: approAlg
+// (or the configured metaheuristic solver in its place) plus the paper's
+// four baselines.
 func (c Config) algorithms(s int) ([]Algorithm, error) {
-	algs, err := AlgorithmsLiteral(s, c.Workers, c.MaxSubsets, c.Literal)
-	if err != nil {
-		return nil, err
+	opts := core.Options{S: s, Workers: c.Workers, MaxSubsets: c.MaxSubsets, GroundLeftovers: c.Literal,
+		Solver: c.Solver, SolverBudget: c.SolverBudget}
+	if !opts.SolverIsEnum() {
+		// The metaheuristic RNGs follow the base seed (the enumeration keeps
+		// Seed zero, so its sampled mode draws the same subsets as ever); the
+		// subset cap applies to the enumeration only.
+		opts.Seed, opts.MaxSubsets = c.Base.Seed, 0
 	}
-	if c.Solver != "" && c.Solver != "enum" {
-		algs[0] = SolverAlg(c.Solver, s, c.SolverBudget, c.Literal, c.Base.Seed)
-	}
-	return algs, nil
+	return algorithmsForNames(baseline.Names(), opts)
 }
 
 func (c Config) context() context.Context {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/uav-coverage/uavnet/internal/core"
 	"github.com/uav-coverage/uavnet/internal/workload"
 )
 
@@ -86,7 +87,7 @@ func TestAlgorithmsList(t *testing.T) {
 func TestAlgorithmsUnknownBaselineError(t *testing.T) {
 	// The failure path that used to panic inside library code: an unknown
 	// baseline name must surface as an error naming the baseline.
-	algs, err := algorithmsForNames([]string{"MCS", "no-such-alg"}, 2, 1, 0, false)
+	algs, err := algorithmsForNames([]string{"MCS", "no-such-alg"}, core.Options{S: 2, Workers: 1})
 	if err == nil {
 		t.Fatal("unknown baseline should fail, got none")
 	}

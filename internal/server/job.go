@@ -1,7 +1,7 @@
 // Package server turns the uavnet library into a long-running deployment
 // service: POST a scenario, get a deterministic job id; a bounded worker
-// pool solves jobs concurrently through the facade (enumeration, shard pool,
-// or metaheuristic portfolio, per-user or demand-aggregated), streams
+// pool solves jobs concurrently through the facade's one solve driver
+// (uavnet.Solve, per-user or demand-aggregated), streams
 // progress snapshots to SSE subscribers, and persists every job's checkpoint
 // atomically on a cadence and on shutdown — so a crashed or SIGTERM'd server
 // restarts, rescans its job directory, and resumes every unfinished job to a
@@ -87,12 +87,24 @@ func (o JobOptions) normalized() JobOptions {
 	return o
 }
 
-// enum reports whether the (normalized) options select the enumeration.
-func (o JobOptions) enum() bool { return o.Solver == "" || o.Solver == "enum" }
+// solveOptions maps the result-shaping fields and the Workers hint onto
+// solver options (Shards is the driver's separate argument).
+func (o JobOptions) solveOptions() uavnet.Options {
+	return uavnet.Options{
+		S:               o.S,
+		Workers:         o.Workers,
+		MaxSubsets:      o.MaxSubsets,
+		Seed:            o.Seed,
+		DisablePrune:    o.DisablePrune,
+		GroundLeftovers: o.GroundLeftovers,
+		Solver:          o.Solver,
+		SolverBudget:    o.SolverBudget,
+	}
+}
 
-// Validate rejects option combinations the solvers would reject mid-run, so
-// a bad submission fails at POST time with a 400 instead of becoming a
-// failed job. The rules mirror cmd/uavdeploy's flag validation.
+// Validate rejects a submission the solver would reject mid-run, so a bad
+// submission fails at POST time with a 400 instead of becoming a failed job:
+// negative values here, every cross-option rule in uavnet.ValidateOptions.
 func (o JobOptions) Validate() error {
 	switch {
 	case o.S < 0:
@@ -108,29 +120,7 @@ func (o JobOptions) Validate() error {
 	case o.Shards < 0:
 		return fmt.Errorf("shards must be non-negative, got %d", o.Shards)
 	}
-	known := false
-	for _, name := range uavnet.SolverNames() {
-		if o.normalized().Solver == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown solver %q (want one of %v)", o.Solver, uavnet.SolverNames())
-	}
-	if o.normalized().enum() {
-		if o.SolverBudget != 0 {
-			return fmt.Errorf("solver_budget needs a metaheuristic solver; the enumeration is budgeted with max_subsets")
-		}
-	} else {
-		switch {
-		case o.Shards > 1:
-			return fmt.Errorf("shards and solver %q are incompatible: the metaheuristics do not enumerate", o.Solver)
-		case o.MaxSubsets != 0:
-			return fmt.Errorf("max_subsets and solver %q are incompatible: cap work with solver_budget instead", o.Solver)
-		}
-	}
-	return nil
+	return uavnet.ValidateOptions(o.normalized().solveOptions(), o.Shards)
 }
 
 // JobID returns the deterministic job id of a submission: an FNV-1a hash of

@@ -144,101 +144,49 @@ func (s *Server) fail(j *Job, err error) {
 // solve runs a job's solver to completion as a sequence of bounded slices:
 // each slice runs for at most Config.CheckpointEvery, then the stopped run's
 // checkpoint is persisted durably and the next slice resumes it. A resumed
-// run finishes with a deployment byte-identical to an uninterrupted one
-// (PR 4/7/8 invariants), so slicing buys crash-safety without changing any
-// result. Returns the completed deployment, or ctx.Err() when the job
-// context was cancelled (the latest checkpoint is on disk either way).
+// run finishes with a deployment byte-identical to an uninterrupted one, so
+// slicing buys crash-safety without changing any result. Returns the
+// completed deployment, or ctx.Err() when the job context was cancelled (the
+// latest checkpoint is on disk either way).
 func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) {
 	o := j.Options.normalized()
 	in, err := s.instance(j)
 	if err != nil {
 		return nil, err
 	}
-	enumCP, portCP, err := s.loadResume(j)
+	resume, err := s.loadResume(j)
 	if err != nil {
 		return nil, err
 	}
 
-	base := uavnet.Options{
-		S:                o.S,
-		Workers:          o.Workers,
-		MaxSubsets:       o.MaxSubsets,
-		Seed:             o.Seed,
-		DisablePrune:     o.DisablePrune,
-		GroundLeftovers:  o.GroundLeftovers,
-		Solver:           o.Solver,
-		SolverBudget:     o.SolverBudget,
-		ProgressInterval: s.cfg.ProgressEvery,
-		Progress: func(p uavnet.RunProgress) {
-			j.publish(Event{Type: "progress", Progress: progressInfo(p)})
-		},
+	opts := o.solveOptions()
+	opts.ProgressInterval = s.cfg.ProgressEvery
+	opts.Progress = func(p uavnet.RunProgress) {
+		j.publish(Event{Type: "progress", Progress: progressInfo(p)})
 	}
 
 	for {
 		sliceCtx, cancelSlice := context.WithTimeout(ctx, s.cfg.CheckpointEvery)
-		var (
-			dep     *uavnet.Deployment
-			sliceCP *uavnet.Checkpoint
-			runErr  error
-		)
-		switch {
-		case !o.enum():
-			var cp *uavnet.PortfolioCheckpoint
-			dep, cp, runErr = uavnet.DeployPortfolioContext(sliceCtx, in, base, portCP)
-			if cp != nil {
-				portCP = cp
-			}
-		case o.Shards > 1 && enumCP == nil:
-			// First slice of a sharded job: the in-process pool solves the
-			// enumeration as Shards partial runs and merges. It owns
-			// progress itself (no hook), and a stopped pool run hands back
-			// a merged checkpoint that plain resumed slices continue.
-			poolOpts := base
-			poolOpts.Progress = nil
-			poolOpts.ProgressInterval = 0
-			pool := uavnet.ShardPool{Shards: o.Shards, WorkersPerShard: o.Workers}
-			dep, runErr = pool.Run(sliceCtx, in, poolOpts)
-			if dep != nil {
-				sliceCP = dep.Checkpoint
-			}
-		default:
-			sliceOpts := base
-			sliceOpts.Resume = enumCP
-			dep, runErr = uavnet.DeployInstanceContext(sliceCtx, in, sliceOpts)
-			if dep != nil {
-				sliceCP = dep.Checkpoint
-			}
-		}
+		dep, cp, runErr := uavnet.Solve(sliceCtx, in, opts, o.Shards, resume)
 		cancelSlice()
 
 		if dep != nil && dep.Status != uavnet.StatusStopped {
-			// Complete (the pool merges partials internally, so a surviving
-			// StatusPartial is impossible here).
+			// Complete (the shard pool merges partials internally, so a
+			// surviving StatusPartial is impossible here).
 			return dep, nil
 		}
-
-		// Stopped: persist the frontier durably before anything else.
-		switch {
-		case sliceCP != nil:
-			enumCP = sliceCP
-			if err := uavnet.SaveCheckpoint(s.checkpointPath(j), sliceCP); err != nil {
-				return nil, fmt.Errorf("persist checkpoint: %w", err)
-			}
-			j.publish(Event{Type: "checkpoint", Cursor: sliceCP.Cursor, Total: sliceCP.Total})
-		case portCP != nil:
-			if err := uavnet.SavePortfolioCheckpoint(s.checkpointPath(j), portCP); err != nil {
-				return nil, fmt.Errorf("persist checkpoint: %w", err)
-			}
-			var spent, budget int64
-			for _, m := range portCP.Members {
-				spent += m.Evals
-				budget += portCP.Budget
-			}
-			j.publish(Event{Type: "checkpoint", Cursor: spent, Total: budget})
-		case runErr != nil:
+		if cp == nil {
 			// No checkpoint and no complete deployment: a real failure.
 			return nil, runErr
 		}
+
+		// Stopped: persist the frontier durably before anything else.
+		resume = cp
+		if err := uavnet.SaveRunCheckpoint(s.checkpointPath(j), cp); err != nil {
+			return nil, fmt.Errorf("persist checkpoint: %w", err)
+		}
+		done, total := cp.Frontier()
+		j.publish(Event{Type: "checkpoint", Cursor: done, Total: total})
 
 		if err := ctx.Err(); err != nil {
 			// The job context (not the slice timer) was cancelled.

@@ -45,15 +45,20 @@ func slowScenario(t *testing.T) *uavnet.Scenario {
 }
 
 // soloBytes computes the reference result the way cmd/uavdeploy -out would:
-// one uninterrupted in-process solve, serialized with SaveDeployment.
+// one uninterrupted, unsharded in-process solve (demand-aggregated under
+// agg_cell), serialized with SaveDeployment.
 func soloBytes(t *testing.T, sc *uavnet.Scenario, o JobOptions) []byte {
 	t.Helper()
 	n := o.normalized()
-	dep, err := uavnet.Deploy(sc, uavnet.Options{
+	in, err := (&Server{}).instance(&Job{Scenario: sc, Options: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, _, err := uavnet.Solve(context.Background(), in, uavnet.Options{
 		S: n.S, MaxSubsets: n.MaxSubsets, Seed: n.Seed,
 		DisablePrune: n.DisablePrune, GroundLeftovers: n.GroundLeftovers,
 		Solver: n.Solver, SolverBudget: n.SolverBudget,
-	})
+	}, 0, nil)
 	if err != nil {
 		t.Fatalf("solo solve: %v", err)
 	}
@@ -411,58 +416,95 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // TestShutdownRestartResumesByteIdentical is the crash-recovery contract: a
 // server stopped mid-solve leaves a durable checkpoint; a new server over the
 // same directory rescans, resumes, and finishes with a deployment
-// byte-identical to an uninterrupted solve.
+// byte-identical to an uninterrupted solve. It covers every engine: the
+// enumeration, the shard pool (whose merged checkpoint resumes unsharded),
+// the portfolio, and an aggregated instance.
 func TestShutdownRestartResumesByteIdentical(t *testing.T) {
-	dir := t.TempDir()
+	cases := []struct {
+		name string
+		opts JobOptions
+	}{
+		{"enum", JobOptions{}},
+		{"shards", JobOptions{Shards: 3}},
+		{"anneal", JobOptions{Solver: "anneal", SolverBudget: 4000}},
+		{"aggregated", JobOptions{AggCell: 400}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sc := slowScenario(t)
+
+			srvA, cancelA := newTestServer(t, dir, 1, 20*time.Millisecond)
+			tsA := httptest.NewServer(srvA.Handler())
+			resp, data := postJSON(t, tsA.URL+"/v1/jobs", submitBody(t, sc, tc.opts))
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+			}
+			var sum jobSummary
+			json.Unmarshal(data, &sum)
+
+			// Wait for at least one durable checkpoint, then pull the plug.
+			ckptPath := filepath.Join(dir, sum.ID, checkpointFile)
+			deadline := time.Now().Add(60 * time.Second)
+			for {
+				if _, err := os.Stat(ckptPath); err == nil {
+					break
+				}
+				var cur jobSummary
+				getJSON(t, tsA.URL+"/v1/jobs/"+sum.ID, &cur)
+				if cur.State == JobDone {
+					t.Skip("job finished before the first checkpoint; scenario too small for this machine")
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no checkpoint appeared")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			cancelA()
+			srvA.Wait()
+			tsA.Close()
+
+			// The interrupted job must be persisted as queued (not running/failed).
+			var st stateRecord
+			if err := readStrictJSON(filepath.Join(dir, sum.ID, stateFile), &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.State != JobQueued {
+				t.Fatalf("interrupted job persisted as %s, want queued", st.State)
+			}
+
+			// Restart: a new server over the same directory resumes to completion.
+			srvB, _ := newTestServer(t, dir, 1, 50*time.Millisecond)
+			tsB := httptest.NewServer(srvB.Handler())
+			defer tsB.Close()
+			waitState(t, tsB.URL, sum.ID, JobDone)
+			got := fetchResult(t, tsB.URL, sum.ID)
+			if want := soloBytes(t, sc, tc.opts); !bytes.Equal(got, want) {
+				t.Errorf("resumed deployment differs from the solo solve (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestJobIDGolden pins the canonical job-id form: the values were computed
+// by an earlier release, so existing job directories keep deduping. Shards
+// and Workers are execution hints and share the plain enumeration's id.
+func TestJobIDGolden(t *testing.T) {
 	sc := slowScenario(t)
-
-	srvA, cancelA := newTestServer(t, dir, 1, 20*time.Millisecond)
-	tsA := httptest.NewServer(srvA.Handler())
-	resp, data := postJSON(t, tsA.URL+"/v1/jobs", submitBody(t, sc, JobOptions{}))
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+	golden := []struct {
+		opts JobOptions
+		id   string
+	}{
+		{JobOptions{}, "f3a084846a6e18e1"},
+		{JobOptions{Shards: 3}, "f3a084846a6e18e1"},
+		{JobOptions{Solver: "anneal", SolverBudget: 4000}, "bb8dc9f3c952bcad"},
+		{JobOptions{AggCell: 400}, "ae3bda70f0e598b5"},
+		{JobOptions{Workers: 7}, "f3a084846a6e18e1"},
 	}
-	var sum jobSummary
-	json.Unmarshal(data, &sum)
-
-	// Wait for at least one durable checkpoint, then pull the plug.
-	ckptPath := filepath.Join(dir, sum.ID, checkpointFile)
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if _, err := os.Stat(ckptPath); err == nil {
-			break
+	for _, g := range golden {
+		if got := JobID(sc, g.opts); got != g.id {
+			t.Errorf("JobID(%+v) = %s, want %s", g.opts, got, g.id)
 		}
-		var cur jobSummary
-		getJSON(t, tsA.URL+"/v1/jobs/"+sum.ID, &cur)
-		if cur.State == JobDone {
-			t.Skip("job finished before the first checkpoint; scenario too small for this machine")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint appeared")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	cancelA()
-	srvA.Wait()
-	tsA.Close()
-
-	// The interrupted job must be persisted as queued (not running/failed).
-	var st stateRecord
-	if err := readStrictJSON(filepath.Join(dir, sum.ID, stateFile), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != JobQueued {
-		t.Fatalf("interrupted job persisted as %s, want queued", st.State)
-	}
-
-	// Restart: a new server over the same directory resumes to completion.
-	srvB, _ := newTestServer(t, dir, 1, 50*time.Millisecond)
-	tsB := httptest.NewServer(srvB.Handler())
-	defer tsB.Close()
-	waitState(t, tsB.URL, sum.ID, JobDone)
-	got := fetchResult(t, tsB.URL, sum.ID)
-	if want := soloBytes(t, sc, JobOptions{}); !bytes.Equal(got, want) {
-		t.Errorf("resumed deployment differs from the solo solve (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -626,24 +668,7 @@ func TestPortfolioAndAggregateJobs(t *testing.T) {
 		json.Unmarshal(data, &sum)
 		waitState(t, ts.URL, sum.ID, JobDone)
 		got := fetchResult(t, ts.URL, sum.ID)
-		var want []byte
-		if o.AggCell > 0 {
-			in, err := uavnet.NewAggregateInstance(sc, uavnet.AggregateOptions{CellSide: o.AggCell})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dep, err := uavnet.DeployInstance(in, uavnet.Options{S: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "agg.json")
-			if err := uavnet.SaveDeployment(path, dep); err != nil {
-				t.Fatal(err)
-			}
-			want, _ = os.ReadFile(path)
-		} else {
-			want = soloBytes(t, sc, o)
-		}
+		want := soloBytes(t, sc, o)
 		if !bytes.Equal(got, want) {
 			t.Errorf("options %+v: served deployment differs from the solo solve", o)
 		}

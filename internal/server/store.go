@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -121,30 +123,14 @@ func (s *Server) checkpointPath(j *Job) string {
 	return filepath.Join(s.jobDir(j.ID), checkpointFile)
 }
 
-// loadResume loads a job's persisted checkpoint, dispatching on the
-// embedded algorithm tag: exactly one of the returns is non-nil when a
-// checkpoint exists. A missing file means "start from scratch".
-func (s *Server) loadResume(j *Job) (*uavnet.Checkpoint, *uavnet.PortfolioCheckpoint, error) {
-	path := s.checkpointPath(j)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
+// loadResume loads a job's persisted checkpoint of either kind; a missing
+// file means "start from scratch".
+func (s *Server) loadResume(j *Job) (*uavnet.RunCheckpoint, error) {
+	cp, err := uavnet.LoadRunCheckpoint(s.checkpointPath(j))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	var probe struct {
-		Algorithm string `json:"algorithm"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if probe.Algorithm == "portfolio" {
-		cp, err := uavnet.LoadPortfolioCheckpoint(path)
-		return nil, cp, err
-	}
-	cp, err := uavnet.LoadCheckpoint(path)
-	return cp, nil, err
+	return cp, err
 }
 
 // rescan loads every job directory under cfg.Dir, rebuilding the in-memory

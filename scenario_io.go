@@ -6,8 +6,7 @@ import (
 	"os"
 
 	"github.com/uav-coverage/uavnet/internal/atomicfile"
-	"github.com/uav-coverage/uavnet/internal/core"
-	"github.com/uav-coverage/uavnet/internal/portfolio"
+	"github.com/uav-coverage/uavnet/internal/solve"
 	"github.com/uav-coverage/uavnet/internal/strictjson"
 )
 
@@ -89,67 +88,42 @@ func LoadScenario(path string) (*Scenario, error) {
 	return UnmarshalScenario(data)
 }
 
-// SaveCheckpoint writes a stopped run's checkpoint to path as JSON, ready
-// for LoadCheckpoint and Options.Resume. The write is atomic (temp file plus
-// rename), so an interrupted save can never leave a truncated checkpoint
-// that would block resuming — the previous file survives instead.
+// SaveRunCheckpoint writes a stopped run's checkpoint to path in its own
+// JSON format (either kind, byte for byte what the engine's Marshal
+// produces, plus a newline), ready for LoadRunCheckpoint and Solve. The write
+// is atomic (temp file plus rename), so an interrupted save can never leave a
+// truncated checkpoint that would block resuming — the previous file
+// survives instead.
+func SaveRunCheckpoint(path string, cp *RunCheckpoint) error {
+	data, err := cp.Marshal()
+	if err != nil {
+		return fmt.Errorf("uavnet: %w", err)
+	}
+	if err := writeFileAtomic(path, append(data, '\n')); err != nil {
+		return fmt.Errorf("uavnet: %w", err)
+	}
+	return nil
+}
+
+// SaveCheckpoint is SaveRunCheckpoint for an enumeration checkpoint (the
+// dep.Checkpoint of a stopped or partial run). It stays because the
+// benchmark harness calls it.
 func SaveCheckpoint(path string, cp *Checkpoint) error {
-	if cp == nil {
-		return fmt.Errorf("uavnet: nil checkpoint")
-	}
-	data, err := cp.Marshal()
-	if err != nil {
-		return fmt.Errorf("uavnet: %w", err)
-	}
-	if err := writeFileAtomic(path, append(data, '\n')); err != nil {
-		return fmt.Errorf("uavnet: %w", err)
-	}
-	return nil
+	return SaveRunCheckpoint(path, &RunCheckpoint{Enum: cp})
 }
 
-// LoadCheckpoint reads a checkpoint saved by SaveCheckpoint. Resuming
-// validates it against the scenario and options, so loading performs only
-// structural checks.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
+// LoadRunCheckpoint reads a checkpoint of either kind, dispatching on the
+// "algorithm" tag the file carries; an unknown tag is rejected by name.
+// Resuming validates the checkpoint against the scenario and options, so
+// loading performs only structural checks.
+func LoadRunCheckpoint(path string) (*RunCheckpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("uavnet: %w", err)
 	}
-	cp, err := core.UnmarshalCheckpoint(data)
+	cp, err := solve.Unmarshal(data)
 	if err != nil {
-		return nil, fmt.Errorf("uavnet: %w", err)
-	}
-	return cp, nil
-}
-
-// SavePortfolioCheckpoint writes a stopped portfolio race's checkpoint to
-// path as JSON, atomically (see SaveCheckpoint for the crash-safety
-// argument), ready for LoadPortfolioCheckpoint and DeployPortfolioContext.
-func SavePortfolioCheckpoint(path string, cp *PortfolioCheckpoint) error {
-	if cp == nil {
-		return fmt.Errorf("uavnet: nil checkpoint")
-	}
-	data, err := cp.Marshal()
-	if err != nil {
-		return fmt.Errorf("uavnet: %w", err)
-	}
-	if err := writeFileAtomic(path, append(data, '\n')); err != nil {
-		return fmt.Errorf("uavnet: %w", err)
-	}
-	return nil
-}
-
-// LoadPortfolioCheckpoint reads a checkpoint saved by
-// SavePortfolioCheckpoint. Resuming validates it against the scenario and
-// options, so loading performs only structural checks.
-func LoadPortfolioCheckpoint(path string) (*PortfolioCheckpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("uavnet: %w", err)
-	}
-	cp, err := portfolio.UnmarshalCheckpoint(data)
-	if err != nil {
-		return nil, fmt.Errorf("uavnet: %w", err)
+		return nil, fmt.Errorf("uavnet: %s: %w", path, err)
 	}
 	return cp, nil
 }

@@ -58,10 +58,11 @@ func TestSaveCheckpointNeverObservedPartial(t *testing.T) {
 			running = false
 		default:
 		}
-		cp, err := uavnet.LoadCheckpoint(path)
+		run, err := uavnet.LoadRunCheckpoint(path)
 		if err != nil {
 			t.Fatalf("observed a partial checkpoint after %d clean reads: %v", reads, err)
 		}
+		cp := run.Enum
 		if cp.Cursor != small.Cursor && cp.Cursor != big.Cursor {
 			t.Fatalf("read a checkpoint that was never written: cursor %d", cp.Cursor)
 		}
@@ -89,12 +90,12 @@ func TestSaveCheckpointRelativePath(t *testing.T) {
 	if err := uavnet.SaveCheckpoint("run.ckpt", cp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := uavnet.LoadCheckpoint("run.ckpt")
+	got, err := uavnet.LoadRunCheckpoint("run.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cursor != 10 {
-		t.Fatalf("cursor %d", got.Cursor)
+	if got.Enum.Cursor != 10 {
+		t.Fatalf("cursor %d", got.Enum.Cursor)
 	}
 	if fi, err := os.Stat("run.ckpt"); err != nil || fi.Mode().Perm() != 0o644 {
 		t.Fatalf("mode %v, err %v, want 0644", fi.Mode(), err)

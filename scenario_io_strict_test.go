@@ -116,7 +116,7 @@ func TestLoadCheckpointRejectsUnknownFields(t *testing.T) {
 	if err := uavnet.SaveCheckpoint(ok, dep.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := uavnet.LoadCheckpoint(ok); err != nil {
+	if _, err := uavnet.LoadRunCheckpoint(ok); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
 	}
 
@@ -124,7 +124,7 @@ func TestLoadCheckpointRejectsUnknownFields(t *testing.T) {
 	if err := writeFile(t, dir+"/bad.ckpt", bad); err != nil {
 		t.Fatal(err)
 	}
-	_, err = uavnet.LoadCheckpoint(dir + "/bad.ckpt")
+	_, err = uavnet.LoadRunCheckpoint(dir + "/bad.ckpt")
 	if err == nil {
 		t.Fatal("checkpoint with misspelled field accepted")
 	}
@@ -167,7 +167,7 @@ func TestLoadPortfolioCheckpointRejectsUnknownFields(t *testing.T) {
 	if err := writeFile(t, dir+"/ok.ckpt", data); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := uavnet.LoadPortfolioCheckpoint(dir + "/ok.ckpt"); err != nil {
+	if _, err := uavnet.LoadRunCheckpoint(dir + "/ok.ckpt"); err != nil {
 		t.Fatalf("valid portfolio checkpoint rejected: %v", err)
 	}
 
@@ -175,7 +175,7 @@ func TestLoadPortfolioCheckpointRejectsUnknownFields(t *testing.T) {
 	if err := writeFile(t, dir+"/bad.ckpt", bad); err != nil {
 		t.Fatal(err)
 	}
-	_, err = uavnet.LoadPortfolioCheckpoint(dir + "/bad.ckpt")
+	_, err = uavnet.LoadRunCheckpoint(dir + "/bad.ckpt")
 	if err == nil {
 		t.Fatal("portfolio checkpoint with misspelled field accepted")
 	}

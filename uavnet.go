@@ -10,6 +10,7 @@ import (
 	"github.com/uav-coverage/uavnet/internal/core"
 	"github.com/uav-coverage/uavnet/internal/geom"
 	"github.com/uav-coverage/uavnet/internal/portfolio"
+	"github.com/uav-coverage/uavnet/internal/solve"
 	"github.com/uav-coverage/uavnet/internal/verify"
 )
 
@@ -60,16 +61,16 @@ func DefaultChannel() ChannelParams { return channel.DefaultParams() }
 func NewInstance(sc *Scenario) (*Instance, error) { return core.NewInstance(sc) }
 
 // Run-control types, re-exported from internal/core. A stopped run returns
-// its best-so-far deployment tagged StatusStopped together with ctx.Err();
-// the deployment's Checkpoint field (re-loadable via LoadCheckpoint) resumes
-// it through Options.Resume.
+// its best-so-far deployment tagged StatusStopped together with ctx.Err()
+// and a RunCheckpoint that resumes it through Solve.
 type (
 	// RunStatus tags how an approAlg run ended (StatusComplete,
 	// StatusStopped, or StatusPartial for sharded runs).
 	RunStatus = core.RunStatus
 	// RunProgress is the periodic snapshot delivered to Options.Progress.
 	RunProgress = core.Progress
-	// Checkpoint freezes a stopped approAlg run for later resumption.
+	// Checkpoint freezes a stopped enumeration for later resumption: the
+	// Enum member of RunCheckpoint, and what MergeCheckpoints combines.
 	Checkpoint = core.Checkpoint
 	// ShardSpec names one shard of a sharded enumeration (Options.Shard):
 	// shard Index of Count, covering a deterministic contiguous sub-range
@@ -80,10 +81,6 @@ type (
 	// Span is a half-open range of enumeration indices, used by merged
 	// checkpoints to list still-unprocessed sub-ranges.
 	Span = core.Span
-	// ShardPool solves an instance as several sharded runs in-process and
-	// merges the partials; the result is byte-identical to the unsharded
-	// solve.
-	ShardPool = core.ShardPool
 )
 
 // Run statuses.
@@ -102,105 +99,85 @@ func MergeCheckpoints(in *Instance, opts Options, cps []*Checkpoint) (*Deploymen
 	return core.MergeCheckpoints(in, opts, cps)
 }
 
-// Deploy runs the paper's approximation algorithm (Algorithm 2, approAlg)
-// and returns the best deployment found. The scenario is validated and
-// precomputed internally; to amortize precomputation across runs, use
-// NewInstance and DeployInstance.
+// RunCheckpoint is the resumable state of a stopped Solve: exactly one of
+// Enum (an enumeration or shard-pool run) and Portfolio (a metaheuristic
+// race) is set. SaveRunCheckpoint and LoadRunCheckpoint move it to and from
+// disk in the member's own JSON format.
+type RunCheckpoint = solve.Checkpoint
+
+// PortfolioCheckpoint freezes a stopped portfolio race (every member's RNG
+// word, incumbent, best, and member-specific memory); the portfolio member
+// of RunCheckpoint.
+type PortfolioCheckpoint = portfolio.Checkpoint
+
+// Solve runs the paper's Algorithm 2 on a precomputed instance and returns
+// the best deployment found, plus a resumable checkpoint when the run stopped
+// early. opts.Solver selects the search: the enumeration ("" or "enum"), or
+// a budgeted metaheuristic ("anneal", "tabu", "grasp", "genetic", or
+// "portfolio" to race all four; see the README's "Large m" section). With
+// shards > 1 a fresh enumeration is split across an in-process shard pool;
+// the result is byte-identical to the unsharded run. resume, when non-nil,
+// continues a stopped run of the kind opts selects (a resume always runs
+// unsharded) and finishes byte-identical to an uninterrupted run;
+// opts.Resume must be nil.
 //
-//uavlint:allow ctxthread -- compatibility shim: ctx-less callers get a fresh root, DeployContext is the threaded path
-func Deploy(sc *Scenario, opts Options) (*Deployment, error) {
-	return DeployContext(context.Background(), sc, opts)
+// On cancellation or deadline the run stops promptly and returns its
+// best-so-far deployment (Status StatusStopped) together with ctx.Err() and
+// the checkpoint. Every metaheuristic deployment is re-checked by Verify
+// before it is returned.
+func Solve(ctx context.Context, in *Instance, opts Options, shards int, resume *RunCheckpoint) (*Deployment, *RunCheckpoint, error) {
+	return solve.Run(ctx, in, opts, shards, resume)
 }
 
-// DeployContext is Deploy under a context: on cancellation or deadline the
-// run stops promptly and returns the best-so-far deployment (Status
-// StatusStopped, resumable via its Checkpoint) together with ctx.Err().
-func DeployContext(ctx context.Context, sc *Scenario, opts Options) (*Deployment, error) {
-	in, err := core.NewInstance(sc)
-	if err != nil {
-		return nil, err
-	}
-	return deploySolver(ctx, in, opts)
-}
-
-// DeployInstance is Deploy on a precomputed instance.
-//
-//uavlint:allow ctxthread -- compatibility shim: ctx-less callers get a fresh root, DeployInstanceContext is the threaded path
-func DeployInstance(in *Instance, opts Options) (*Deployment, error) {
-	return deploySolver(context.Background(), in, opts)
-}
-
-// DeployInstanceContext is DeployContext on a precomputed instance.
-func DeployInstanceContext(ctx context.Context, in *Instance, opts Options) (*Deployment, error) {
-	return deploySolver(ctx, in, opts)
-}
-
-// deploySolver dispatches on Options.Solver: the enumeration (Algorithm 2)
-// by default, or the metaheuristic portfolio for "anneal", "tabu", "grasp",
-// "genetic", and "portfolio" — the budgeted large-m path (see the package
-// docs of internal/portfolio and the README's "Large m" section).
-func deploySolver(ctx context.Context, in *Instance, opts Options) (*Deployment, error) {
-	if opts.SolverIsEnum() {
-		return core.Approx(ctx, in, opts)
-	}
-	dep, _, err := DeployPortfolioContext(ctx, in, opts, nil)
-	return dep, err
-}
+// ValidateOptions reports the option combinations Solve rejects (a solver
+// budget on the enumeration, shards or a subset cap on a metaheuristic, a
+// gateway with either), so front ends can fail before loading any input.
+// RequiredCells stands for a gateway constraint.
+func ValidateOptions(opts Options, shards int) error { return solve.Validate(opts, shards) }
 
 // SolverNames lists every Options.Solver value: "enum" (the paper's
 // enumeration, also selected by the empty string), the four portfolio
 // members, and "portfolio" to race all four.
-func SolverNames() []string {
-	return append([]string{"enum"}, append(portfolio.Members(), "portfolio")...)
+func SolverNames() []string { return solve.SolverNames() }
+
+// DeployInstanceContext is Solve without shards or resume, returning only
+// the deployment; a stopped enumeration's checkpoint stays on
+// dep.Checkpoint. It stays because the benchmark harness calls it.
+func DeployInstanceContext(ctx context.Context, in *Instance, opts Options) (*Deployment, error) {
+	dep, _, err := solve.Run(ctx, in, opts, 0, nil)
+	return dep, err
 }
 
-// PortfolioCheckpoint freezes a stopped portfolio race (every member's RNG
-// word, incumbent, best, and member-specific memory) for later resumption;
-// the portfolio counterpart of Checkpoint.
-type PortfolioCheckpoint = portfolio.Checkpoint
-
-// DeployPortfolioContext races the metaheuristic members selected by
-// opts.Solver (a member name or "portfolio") under opts.SolverBudget
-// evaluations each, resuming from a prior run's checkpoint when resume is
-// non-nil. On cancellation it returns the best-so-far deployment (Status
-// StatusStopped) together with ctx.Err() and a resumable checkpoint —
-// mirroring DeployContext's stopped-run contract. Every returned deployment
-// has been re-checked by Verify: the portfolio never returns an infeasible
-// placement.
+// DeployPortfolioContext is Solve for a metaheuristic opts.Solver, resuming
+// from a portfolio checkpoint when resume is non-nil. It stays because the
+// benchmark harness calls it.
 func DeployPortfolioContext(ctx context.Context, in *Instance, opts Options, resume *PortfolioCheckpoint) (*Deployment, *PortfolioCheckpoint, error) {
-	dep, cp, err := portfolio.Race(ctx, in, opts, resume)
-	if dep != nil {
-		if rep := verify.CheckDeployment(in, dep); !rep.OK() {
-			// Unreachable by construction — the portfolio finalizes through
-			// the exact Algorithm 2 pipeline — but the feasibility guarantee
-			// is part of the API, so it is enforced, not assumed.
-			return nil, cp, fmt.Errorf("uavnet: portfolio produced an infeasible deployment: %v", rep)
-		}
+	var from *RunCheckpoint
+	if resume != nil {
+		from = &RunCheckpoint{Portfolio: resume}
 	}
-	return dep, cp, err
+	dep, cp, err := solve.Run(ctx, in, opts, 0, from)
+	if cp == nil {
+		return dep, nil, err
+	}
+	return dep, cp.Portfolio, err
 }
 
-// AlgorithmNames lists every algorithm usable with DeployWith, the paper's
-// approAlg first.
+// AlgorithmNames lists every algorithm usable with DeployWithContext, the
+// paper's approAlg first.
 func AlgorithmNames() []string {
 	return append([]string{"approAlg"}, baseline.Names()...)
 }
 
-// DeployWith runs the named algorithm — "approAlg" or one of the baselines
-// "MCS", "MotionCtrl", "GreedyAssign", "maxThroughput" — on the instance.
-// The opts apply to approAlg only.
-//
-//uavlint:allow ctxthread -- compatibility shim: ctx-less callers get a fresh root, DeployWithContext is the threaded path
-func DeployWith(name string, in *Instance, opts Options) (*Deployment, error) {
-	return DeployWithContext(context.Background(), name, in, opts)
-}
-
-// DeployWithContext is DeployWith under a context. Only approAlg supports
-// mid-run cancellation and checkpointing; the baselines are single-pass and
-// merely check the context before starting.
+// DeployWithContext runs the named algorithm — "approAlg" (Solve without
+// shards or resume) or one of the baselines "MCS", "MotionCtrl",
+// "GreedyAssign", "maxThroughput" — on the instance. The opts apply to
+// approAlg only. Only approAlg supports mid-run cancellation and
+// checkpointing; the baselines are single-pass and merely check the context
+// before starting.
 func DeployWithContext(ctx context.Context, name string, in *Instance, opts Options) (*Deployment, error) {
 	if name == "approAlg" {
-		return deploySolver(ctx, in, opts)
+		return DeployInstanceContext(ctx, in, opts)
 	}
 	run, err := baseline.ByName(name)
 	if err != nil {
@@ -272,32 +249,21 @@ func GatewayReachable(in *Instance, dep *Deployment, gw Gateway) bool {
 	return core.GatewayReachable(in, dep, gw)
 }
 
-// DeployToGateway runs approAlg constrained so that the deployed network
-// includes a cell within relay range of the gateway: the gateway's cells
-// are injected as required anchors, so reachability is guaranteed by
-// construction rather than patched afterwards. It fails if no candidate
-// cell lies within UAV range of the gateway.
-//
-//uavlint:allow ctxthread -- compatibility shim: ctx-less callers get a fresh root, DeployToGatewayContext is the threaded path
-func DeployToGateway(in *Instance, gw Gateway, opts Options) (*Deployment, error) {
-	return DeployToGatewayContext(context.Background(), in, gw, opts)
-}
-
-// DeployToGatewayContext is DeployToGateway under a context (see
-// DeployContext for the stopped-run contract).
+// DeployToGatewayContext runs approAlg constrained so that the deployed
+// network includes a cell within relay range of the gateway: the gateway's
+// cells are injected as required anchors (Options.RequiredCells), so
+// reachability is guaranteed by construction rather than patched afterwards.
+// It fails if no candidate cell lies within UAV range of the gateway, and
+// for a metaheuristic opts.Solver (see ValidateOptions). The stopped-run
+// contract is Solve's.
 func DeployToGatewayContext(ctx context.Context, in *Instance, gw Gateway, opts Options) (*Deployment, error) {
-	if !opts.SolverIsEnum() {
-		// The gateway guarantee rides on the enumeration's required-cell
-		// filter; the portfolio's neighborhood has no such constraint yet.
-		return nil, fmt.Errorf("uavnet: gateway-constrained deployment needs the enumeration (got solver %q)", opts.Solver)
-	}
 	cells := in.GatewayCells(gw)
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("uavnet: no candidate cell within %g m of the gateway",
 			in.Scenario.UAVRange)
 	}
 	opts.RequiredCells = cells
-	return core.Approx(ctx, in, opts)
+	return DeployInstanceContext(ctx, in, opts)
 }
 
 // RefineAssignment recomputes a deployment's user assignment so that it

@@ -1,6 +1,7 @@
 package uavnet_test
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -44,16 +45,16 @@ func TestDeployEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := uavnet.Deploy(sc, uavnet.Options{S: 2, Workers: 2})
+	in, err := uavnet.NewInstance(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, _, err := uavnet.Solve(context.Background(), in, uavnet.Options{S: 2, Workers: 2}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dep.Served <= 0 {
 		t.Errorf("Served = %d, want positive", dep.Served)
-	}
-	in, err := uavnet.NewInstance(sc)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if !uavnet.Connected(in, dep) {
 		t.Error("deployment not connected")
@@ -67,7 +68,7 @@ func TestDeployWithAllAlgorithms(t *testing.T) {
 	}
 	apro := -1
 	for _, name := range uavnet.AlgorithmNames() {
-		dep, err := uavnet.DeployWith(name, in, uavnet.Options{S: 2, Workers: 2})
+		dep, err := uavnet.DeployWithContext(context.Background(), name, in, uavnet.Options{S: 2, Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -90,7 +91,7 @@ func TestDeployWithUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := uavnet.DeployWith("magic", in, uavnet.Options{}); err == nil {
+	if _, err := uavnet.DeployWithContext(context.Background(), "magic", in, uavnet.Options{}); err == nil {
 		t.Error("unknown algorithm should fail")
 	}
 }
@@ -132,7 +133,7 @@ func TestDeployOptimalTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apx, err := uavnet.DeployInstance(in, uavnet.Options{S: 2, Workers: 2})
+	apx, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{S: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestLoadsOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := uavnet.DeployInstance(in, uavnet.Options{S: 2, Workers: 2})
+	dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{S: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
