@@ -28,7 +28,7 @@ const compatDir = "testdata/compat"
 
 var compatPortfolio = uavnet.Options{S: 3, Solver: "portfolio", SolverBudget: 3000, Seed: 5}
 
-func compatInstance(t *testing.T) *uavnet.Instance {
+func compatInstance(t testing.TB) *uavnet.Instance {
 	t.Helper()
 	sc, err := uavnet.LoadScenario(filepath.Join(compatDir, "scenario.json"))
 	if err != nil {

@@ -25,10 +25,10 @@ var detOrderPkgs = map[string]bool{
 //
 // Rule 1 (scoped to detOrderPkgs): a `range` over a map whose body appends
 // to a slice is flagged unless a later statement in the same block sorts
-// that slice (the collect-then-sort idiom, e.g. core.connectLocations); a
-// body that writes output or feeds a hash (fmt.Fprint*/Print*, Write*,
-// Sum methods, channel sends) is flagged unconditionally, because no
-// after-the-fact sort can reorder bytes already emitted.
+// that slice (the collect-then-sort idiom); a body that writes output or
+// feeds a hash (fmt.Fprint*/Print*, Write*, Sum methods, channel sends) is
+// flagged unconditionally, because no after-the-fact sort can reorder bytes
+// already emitted.
 //
 // Rule 2 (all library packages): calls to math/rand's package-level
 // functions (rand.Intn, rand.Shuffle, ...) draw from the process-global

@@ -11,10 +11,9 @@
 // in the network size instead of re-solving from scratch.
 //
 // The greedy placement loop of Algorithm 2 now runs on internal/match's
-// specialized bipartite matcher by default; Solve and Evaluator are the
-// flow-based reference implementation it is verified against
-// (core.Options.ReferenceOracle, FuzzAssignDifferential, and the
-// internal/verify oracle-equivalence test).
+// specialized bipartite matcher; Solve and Evaluator are the flow-based
+// reference implementation it is verified against (FuzzAssignDifferential
+// and the oracle-equivalence tests of internal/core and internal/verify).
 package assign
 
 import (

@@ -44,13 +44,6 @@ type Options struct {
 	// deployed network. The gateway extension uses this to guarantee that
 	// some UAV hovers within relay range of the gateway (Fig. 1).
 	RequiredCells []int
-	// ReferenceOracle switches the greedy's marginal-gain oracle from the
-	// incremental bipartite matcher (internal/match) to the flow-based
-	// reference evaluator (assign.Evaluator over Dinic in internal/flow).
-	// Both oracles are exact, so the deployment is identical either way —
-	// internal/verify asserts as much on its seed corpus; the switch exists
-	// for differential verification and benchmarking.
-	ReferenceOracle bool
 	// GroundLeftovers keeps UAVs beyond the q_j network members grounded,
 	// which is what Algorithm 2's pseudocode literally states. By default
 	// (false) the implementation extends the network greedily with the
@@ -231,26 +224,19 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 	if !opts.SolverIsEnum() {
 		return nil, fmt.Errorf("core: Approx runs the enumeration only; solver %q is served by portfolio.Race (use uavnet.Solve)", opts.Solver)
 	}
-	sc := in.Scenario
-	k, m := sc.K(), sc.M()
-
-	s, err := effectiveS(opts.S, k, m)
-	if err != nil {
-		return nil, err
+	// One evaluator per worker, built before any goroutine starts: each owns
+	// a placement oracle and a scratch arena reused across the whole
+	// enumeration, so the steady-state evaluation loop allocates nothing.
+	evs := make([]*SubsetEvaluator, opts.Workers)
+	for w := range evs {
+		ev, err := NewSubsetEvaluator(in, opts)
+		if err != nil {
+			return nil, err
+		}
+		evs[w] = ev
 	}
-
-	budget, err := PlanBudget(k, s)
-	if err != nil {
-		return nil, err
-	}
-	q := QValues(budget.LMax, budget.P)
-
-	// Capacities in greedy order: round r deploys the r-th largest capacity.
-	caps := make([]int, k)
-	for r, uav := range in.ByCapacity {
-		caps[r] = sc.UAVs[uav].Capacity
-	}
-
+	s, budget := evs[0].S(), evs[0].Budget()
+	m := in.Scenario.M()
 	total, sampled := subsetSpace(m, s, opts)
 
 	if err := opts.Shard.check(); err != nil {
@@ -272,7 +258,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 	best := subsetResult{idx: -1, served: -1}
 	var baseEvaluated, basePruned int64
 	if opts.Resume != nil {
-		if err := opts.Resume.validate(in, s, opts, total, sampled); err != nil {
+		if err := opts.Resume.validate(evs[0], opts, total, sampled); err != nil {
 			return nil, err
 		}
 		work = opts.Resume.RemainingSpans()
@@ -303,8 +289,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 
 	// Workers claim fixed-size chunks of the virtual offset space from a
 	// shared cursor and fold local bests. Each worker owns a subset source
-	// (stepping incrementally inside a span run), a placement oracle, and a
-	// scratch arena, so the steady-state evaluation loop allocates nothing.
+	// (stepping incrementally inside a span run) and its evaluator.
 	// The reduction — most served users, then smallest enumeration index —
 	// is associative and order-independent, so the chosen deployment never
 	// depends on the worker count or on how chunks interleave.
@@ -334,19 +319,11 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 	progEvaluated.Store(baseEvaluated)
 	progBestServed.Store(int64(best.served))
 
-	for w := 0; w < opts.Workers; w++ {
-		go func() {
+	for _, ev := range evs {
+		go func(ev *SubsetEvaluator) {
 			out := workerOut{best: subsetResult{idx: -1, served: -1}}
 			defer func() { results <- out }()
-			// One oracle per worker, reset per subset, so the matcher's
-			// memory is reused across the whole enumeration.
-			oracle, err := newPlacementOracle(in, caps, opts.ReferenceOracle)
-			if err != nil {
-				out.err = err
-				return
-			}
 			src := newSubsetSource(m, s, opts, sampled)
-			scr := newEvalScratch(in, q)
 			var bestLocs []int
 			for !abort.Load() {
 				if ctx.Err() != nil {
@@ -379,7 +356,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 							abort.Store(true)
 							return
 						}
-						res, ok, wasPruned, err := evaluateSubset(in, idx, anchors, budget, q, caps, opts, oracle, scr)
+						res, ok, wasPruned, err := ev.evaluate(idx, anchors)
 						if err != nil {
 							out.err = err
 							abort.Store(true)
@@ -411,7 +388,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 					}
 				}
 			}
-		}()
+		}(ev)
 	}
 
 	// Progress monitor: samples the shared counters on a ticker and reports
@@ -528,8 +505,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 }
 
 // effectiveS clamps the requested anchor-subset size to the instance (s is
-// never above K or m) and rejects degenerate values; shared by Approx and
-// MergeCheckpoints so both agree on the enumeration space.
+// never above K or m) and rejects degenerate values.
 func effectiveS(s, k, m int) (int, error) {
 	if s > k {
 		s = k
@@ -598,22 +574,23 @@ func emptyDeployment(in *Instance) *Deployment {
 	return dep
 }
 
-// evaluateSubset runs the per-subset body of Algorithm 2 (lines 5-23):
-// greedy placement of up to L_max UAVs under M1 /\ M2, MST-based relay
-// connection, feasibility check q_j <= K, and full evaluation. All working
-// memory comes from scr, so the call allocates nothing in steady state; the
+// evaluate runs the per-subset body of Algorithm 2 (lines 5-23) for the
+// anchor subset at enumeration index idx: greedy placement of up to L_max
+// UAVs under M1 /\ M2, MST-based relay connection, feasibility check
+// q_j <= K, and full evaluation. All working memory comes from the
+// evaluator's scratch, so the call allocates nothing in steady state; the
 // returned res.locs aliases the scratch arena and must be copied by callers
 // that retain it past the next evaluation.
-func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []int, caps []int, opts Options, oracle *placementOracle, scr *evalScratch) (res subsetResult, ok, pruned bool, err error) {
-	sc := in.Scenario
-	k := sc.K()
+func (e *SubsetEvaluator) evaluate(idx int64, anchors []int) (res subsetResult, ok, pruned bool, err error) {
+	in, oracle, scr := e.in, e.oracle, e.scr
+	k := in.Scenario.K()
 
 	// Requirement filter: the subset must touch a required cell (if any).
-	if len(opts.RequiredCells) > 0 {
+	if len(e.opts.RequiredCells) > 0 {
 		found := false
 	outer:
 		for _, a := range anchors {
-			for _, r := range opts.RequiredCells {
+			for _, r := range e.opts.RequiredCells {
 				if a == r {
 					found = true
 					break outer
@@ -636,14 +613,14 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 		for j := i + 1; j < len(anchors); j++ {
 			d := in.Hop[anchors[i]][anchors[j]]
 			if d == graph.Unreachable {
-				return res, false, !opts.DisablePrune, nil
+				return res, false, !e.opts.DisablePrune, nil
 			}
 			if d > maxHop {
 				maxHop = d
 			}
 		}
 	}
-	if !opts.DisablePrune && maxHop+1 > k {
+	if !e.opts.DisablePrune && maxHop+1 > k {
 		return res, false, true, nil
 	}
 
@@ -665,7 +642,7 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 	if err := oracle.reset(); err != nil {
 		return res, false, false, err
 	}
-	selected, err := scr.runner.Run(ground, budget.LMax, scr.feasible, oracle)
+	selected, err := scr.runner.Run(ground, e.budget.LMax, scr.feasible, oracle)
 	if err != nil {
 		return res, false, false, err
 	}
@@ -701,8 +678,8 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 	scr.relays = relays
 	slotLoc = append(slotLoc, relays...)
 
-	if !opts.GroundLeftovers {
-		slotLoc = scr.extendWithLeftovers(in, slotLoc, caps)
+	if !e.opts.GroundLeftovers {
+		slotLoc = scr.extendWithLeftovers(in, slotLoc, e.caps)
 	}
 	scr.slotLoc = slotLoc
 
@@ -716,37 +693,6 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 		}
 	}
 	return subsetResult{idx: idx, served: oracle.served(), locs: slotLoc, nsel: len(selected)}, true, false, nil
-}
-
-// connectLocations returns the sorted node set of the connected subgraph G_j
-// obtained by taking an MST of the selected locations under the hop metric
-// and replacing each MST edge with a shortest path (Algorithm 2 lines 13-15).
-func connectLocations(g *graph.Undirected, selected []int) ([]int, error) {
-	nodeSet := make(map[int]bool, len(selected))
-	for _, v := range selected {
-		nodeSet[v] = true
-	}
-	if len(selected) > 1 {
-		tree, _, err := graph.CompleteHopMST(g, selected)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range tree {
-			path := g.ShortestPath(selected[e.U], selected[e.V])
-			if path == nil {
-				return nil, fmt.Errorf("core: lost path between %d and %d", selected[e.U], selected[e.V])
-			}
-			for _, v := range path {
-				nodeSet[v] = true
-			}
-		}
-	}
-	nodes := make([]int, 0, len(nodeSet))
-	for v := range nodeSet {
-		nodes = append(nodes, v)
-	}
-	sort.Ints(nodes)
-	return nodes, nil
 }
 
 // finalizeDeployment maps the winning slot placement back to the scenario's
@@ -805,65 +751,42 @@ func finalizeDeployment(in *Instance, best subsetResult) (*Deployment, error) {
 	return dep, nil
 }
 
-// gainEngine is the incremental what-if/commit contract the placement
-// oracle drives. match.Matcher (the default) and assign.Evaluator (the
-// Dinic-backed reference, kept for differential verification) both satisfy
-// it with identical semantics.
-type gainEngine interface {
+// placementEngine is the incremental what-if/commit contract the placement
+// oracle drives: match.Matcher on per-user instances, match.WeightedMatcher
+// on aggregated ones. GainBound is the engine's sound upper bound on Gain
+// for a station whose eligible set is the mask.
+type placementEngine interface {
 	Reset() error
 	Served() int
 	Gain(capacity int, eligible []int) (int, error)
 	Commit(capacity int, eligible []int) (int, error)
+	GainBound(capacity int, eligMask match.Bitset) int
 }
 
-// placementOracle adapts a gainEngine to the matroid.Oracle interface: the
-// marginal gain of placing the round-th largest-capacity UAV at a location
-// is the increase in optimally-served users (or, on aggregated instances,
-// optimally-served demand units — the same quantity after expansion).
+// placementOracle adapts the instance's matcher to the matroid.Oracle
+// interface: the marginal gain of placing the round-th largest-capacity UAV
+// at a location is the increase in optimally-served users (or, on
+// aggregated instances, optimally-served demand units — the same quantity
+// after expansion).
 type placementOracle struct {
 	in     *Instance
 	caps   []int
-	engine gainEngine
-	// matcher is the engine when the incremental unit matcher is active, nil
-	// otherwise; it carries the reach bitset RoundBound popcounts.
-	matcher *match.Matcher
-	// wmatcher is the engine on aggregated instances: the weighted b-matcher
-	// over demand cells. Its GainBound is the weighted counterpart of the
-	// unit matcher's.
-	wmatcher *match.WeightedMatcher
+	engine placementEngine
 }
 
-func newPlacementOracle(in *Instance, caps []int, reference bool) (*placementOracle, error) {
-	o := &placementOracle{in: in, caps: caps}
+func newPlacementOracle(in *Instance, caps []int) (*placementOracle, error) {
 	if in.Aggregated() {
-		if reference {
-			// The Dinic evaluator scores unit users; running it on demand
-			// nodes would mis-count every node as one user.
-			return nil, fmt.Errorf("core: the reference oracle supports only per-user instances")
-		}
 		wm, err := match.NewWeightedMatcher(in.Weights, len(caps))
 		if err != nil {
 			return nil, err
 		}
-		o.wmatcher = wm
-		o.engine = wm
-		return o, nil
-	}
-	if reference {
-		ev, err := assign.NewEvaluator(in.Scenario.N(), len(caps))
-		if err != nil {
-			return nil, err
-		}
-		o.engine = ev
-		return o, nil
+		return &placementOracle{in: in, caps: caps, engine: wm}, nil
 	}
 	m, err := match.NewMatcher(in.Scenario.N(), len(caps))
 	if err != nil {
 		return nil, err
 	}
-	o.matcher = m
-	o.engine = m
-	return o, nil
+	return &placementOracle{in: in, caps: caps, engine: m}, nil
 }
 
 // reset rewinds the oracle for a fresh anchor subset, reusing its memory.
@@ -900,25 +823,11 @@ func (o *placementOracle) Bound(loc int) int {
 	return n
 }
 
-// RoundBound implements matroid.DynamicBounder: with the matcher active it
-// popcounts the location's eligibility mask against the matcher's
-// still-augmentable user set, bounding the gain in a few word operations
-// (see match.Matcher.GainBound for why that set, not merely the unserved
-// one, is the sound choice). The reference path falls back to the static
-// per-round capacity bound; sound bounds of any tightness leave the
-// selection identical, so the two paths still agree deployment-for-
-// deployment.
+// RoundBound implements matroid.DynamicBounder: it popcounts the location's
+// eligibility mask against the matcher's still-augmentable user set,
+// bounding the gain in a few word operations (see match.Matcher.GainBound
+// for why that set, not merely the unserved one, is the sound choice).
 func (o *placementOracle) RoundBound(round, loc int) int {
 	class := o.in.ClassOf[o.in.ByCapacity[round]]
-	if o.wmatcher != nil {
-		return o.wmatcher.GainBound(o.caps[round], o.in.EligMask[class][loc])
-	}
-	if o.matcher == nil {
-		c := o.caps[round]
-		if n := o.in.eligTotal(class, loc); n < c {
-			return n
-		}
-		return c
-	}
-	return o.matcher.GainBound(o.caps[round], o.in.EligMask[class][loc])
+	return o.engine.GainBound(o.caps[round], o.in.EligMask[class][loc])
 }

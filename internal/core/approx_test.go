@@ -344,9 +344,12 @@ func TestApproxGreedyUsesAnchors(t *testing.T) {
 	}
 }
 
-// TestConnectorWithinGUpper validates Lemma 2 empirically: on a line graph
-// with anchors spaced p_i+1 apart, any M2-independent selection connects
-// with at most g(L, p) nodes.
+// TestConnectorWithinGUpper validates Lemma 2 empirically on the connector
+// every solve runs (evalScratch.connectLocations): on a line graph with
+// anchors spaced p_i+1 apart, any M2-independent selection connects with at
+// most g(L, p) nodes. It also checks the fact the enumeration's sound prune
+// relies on: a connected node set containing two selected cells at hop
+// distance h has at least h+1 nodes.
 func TestConnectorWithinGUpper(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(13))
@@ -395,13 +398,31 @@ func TestConnectorWithinGUpper(t *testing.T) {
 				selected = append(selected, v)
 			}
 		}
-		nodes, err := connectLocations(lg, selected)
+		paths := graph.NewPathOracle(lg)
+		in := &Instance{Hop: make([][]int, lineLen), Paths: paths}
+		for v := range in.Hop {
+			in.Hop[v] = paths.DistRow(v)
+		}
+		scr := &evalScratch{nodeMark: make([]bool, lineLen)}
+		nodes, err := scr.connectLocations(in, selected)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if len(nodes) > g {
 			t.Fatalf("trial %d: connector used %d nodes > g = %d (s=%d L=%d p=%v sel=%v)",
 				trial, len(nodes), g, s, l, p, selected)
+		}
+		maxHop := 0
+		for _, a := range selected {
+			for _, b := range selected {
+				if d := in.Hop[a][b]; d > maxHop {
+					maxHop = d
+				}
+			}
+		}
+		if len(nodes) < maxHop+1 {
+			t.Fatalf("trial %d: connector used %d nodes < maxHop+1 = %d (sel=%v)",
+				trial, len(nodes), maxHop+1, selected)
 		}
 	}
 }

@@ -21,7 +21,6 @@ type SubsetEvaluator struct {
 	opts   Options
 	s      int
 	budget Budget
-	q      []int
 	caps   []int
 	oracle *placementOracle
 	scr    *evalScratch
@@ -47,8 +46,9 @@ type EvalResult struct {
 
 // NewSubsetEvaluator prepares an evaluator for the instance. Options are
 // interpreted as by Approx (S clamped via effectiveS, DisablePrune,
-// GroundLeftovers, ReferenceOracle honored); enumeration-control fields
-// (MaxSubsets, Shard, StopAfter, Resume) are ignored.
+// GroundLeftovers and RequiredCells honored); enumeration-control fields
+// (MaxSubsets, Shard, StopAfter, Resume) are ignored. Approx itself steps
+// through one evaluator per worker.
 func NewSubsetEvaluator(in *Instance, opts Options) (*SubsetEvaluator, error) {
 	opts = opts.withDefaults()
 	sc := in.Scenario
@@ -66,7 +66,7 @@ func NewSubsetEvaluator(in *Instance, opts Options) (*SubsetEvaluator, error) {
 	for r, uav := range in.ByCapacity {
 		caps[r] = sc.UAVs[uav].Capacity
 	}
-	oracle, err := newPlacementOracle(in, caps, opts.ReferenceOracle)
+	oracle, err := newPlacementOracle(in, caps)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,6 @@ func NewSubsetEvaluator(in *Instance, opts Options) (*SubsetEvaluator, error) {
 		opts:   opts,
 		s:      s,
 		budget: budget,
-		q:      q,
 		caps:   caps,
 		oracle: oracle,
 		scr:    newEvalScratch(in, q),
@@ -104,7 +103,7 @@ func (e *SubsetEvaluator) SetEvaluations(n int64) { e.evals = n }
 // is an answer, not an error. The result's Locs aliases scratch memory.
 func (e *SubsetEvaluator) Evaluate(anchors []int) (EvalResult, error) {
 	e.evals++
-	res, ok, _, err := evaluateSubset(e.in, 0, anchors, e.budget, e.q, e.caps, e.opts, e.oracle, e.scr)
+	res, ok, _, err := e.evaluate(0, anchors)
 	if err != nil || !ok {
 		return EvalResult{}, err
 	}

@@ -7,22 +7,22 @@ import (
 // BenchmarkOracleGain measures one speculative marginal-gain query against a
 // committed three-station state, cycling over every candidate location — the
 // exact operation the lazy greedy issues thousands of times per subset. The
-// matcher variant is the default engine (Kuhn augmenting search over the
-// committed owner array); the dinic variant is the flow-based reference
+// matcher variant is the production engine (Kuhn augmenting search over the
+// committed owner array); the dinic variant is the test reference
 // (assign.Evaluator, clone + augment per query).
 func BenchmarkOracleGain(b *testing.B) {
-	in, _, anchors, _, _, caps, _ := benchInstance(b, 3)
-	m := in.Scenario.M()
+	ev, _, anchors := benchInstance(b, 3)
+	m := ev.in.Scenario.M()
 
 	for _, variant := range []struct {
 		name      string
-		reference bool
+		newOracle func(*Instance, []int) (*placementOracle, error)
 	}{
-		{"matcher", false},
-		{"dinic", true},
+		{"matcher", newPlacementOracle},
+		{"dinic", newReferenceOracle},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
-			oracle, err := newPlacementOracle(in, caps, variant.reference)
+			oracle, err := variant.newOracle(ev.in, ev.caps)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -47,9 +47,9 @@ func BenchmarkOracleGain(b *testing.B) {
 // path adds: a popcount of the candidate's eligibility mask against the
 // still-augmentable user set, amortizing one lazy reach recomputation.
 func BenchmarkOracleRoundBound(b *testing.B) {
-	in, _, anchors, _, _, caps, _ := benchInstance(b, 3)
-	m := in.Scenario.M()
-	oracle, err := newPlacementOracle(in, caps, false)
+	ev, _, anchors := benchInstance(b, 3)
+	m := ev.in.Scenario.M()
+	oracle, err := newPlacementOracle(ev.in, ev.caps)
 	if err != nil {
 		b.Fatal(err)
 	}

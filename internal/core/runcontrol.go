@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/uav-coverage/uavnet/internal/strictjson"
@@ -188,9 +189,11 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // validate rejects a checkpoint that was not produced by an identical run:
-// same scenario, same effective options, same enumeration space. seed of
+// same scenario, same effective options, same enumeration space, and a best
+// that the run's evaluator reproduces from its enumeration index. seed of
 // Options is passed through opts.
-func (c *Checkpoint) validate(in *Instance, s int, opts Options, total int64, sampled bool) error {
+func (c *Checkpoint) validate(ev *SubsetEvaluator, opts Options, total int64, sampled bool) error {
+	in, s := ev.in, ev.s
 	mismatch := func(field string, got, want any) error {
 		return fmt.Errorf("core: checkpoint does not match this run: %s is %v, checkpoint has %v", field, got, want)
 	}
@@ -274,8 +277,39 @@ func (c *Checkpoint) validate(in *Instance, s int, opts Options, total int64, sa
 			return fmt.Errorf("core: checkpoint cursor %d disagrees with first remaining range start %d", c.Cursor, c.Remaining[0].Start)
 		}
 	}
-	if c.Best != nil && (!r.contains(c.Best.Idx) || inSpans(c.remaining(), c.Best.Idx)) {
-		return fmt.Errorf("core: checkpoint best index %d outside the processed set", c.Best.Idx)
+	if c.Best != nil {
+		return c.Best.validate(ev, r, c.remaining(), opts, sampled)
+	}
+	return nil
+}
+
+// validate rejects a best that is not the evaluation of its own enumeration
+// index: its index must lie in the processed set, its fields must describe a
+// placement of at most K UAVs on real cells, and re-evaluating the subset at
+// that index must reproduce served, locs and nsel exactly.
+func (b *CheckpointBest) validate(ev *SubsetEvaluator, r Span, remaining []Span, opts Options, sampled bool) error {
+	if !r.contains(b.Idx) || inSpans(remaining, b.Idx) {
+		return fmt.Errorf("core: checkpoint best.idx %d outside the processed set", b.Idx)
+	}
+	k, m := ev.in.Scenario.K(), ev.in.Scenario.M()
+	if b.NSel < 1 || b.NSel > len(b.Locs) || len(b.Locs) > k {
+		return fmt.Errorf("core: checkpoint best.nsel is %d with %d best.locs; want 1 <= nsel <= len(locs) <= K=%d", b.NSel, len(b.Locs), k)
+	}
+	for i, loc := range b.Locs {
+		if loc < 0 || loc >= m {
+			return fmt.Errorf("core: checkpoint best.locs[%d] is %d, not a cell in [0, %d)", i, loc, m)
+		}
+	}
+	anchors, err := newSubsetSource(m, ev.s, opts, sampled).at(b.Idx)
+	if err != nil {
+		return err
+	}
+	res, ok, _, err := ev.evaluate(b.Idx, anchors)
+	if err != nil {
+		return err
+	}
+	if !ok || res.served != b.Served || res.nsel != b.NSel || !slices.Equal(res.locs, b.Locs) {
+		return fmt.Errorf("core: checkpoint best (best.idx %d) does not re-evaluate to its recorded best.served, best.locs and best.nsel", b.Idx)
 	}
 	return nil
 }

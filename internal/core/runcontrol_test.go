@@ -209,6 +209,51 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	})
 }
 
+// TestResumeRejectsCorruptedBest: a checkpoint whose best is not what the
+// enumeration computes at best.idx — out-of-range cells, an impossible
+// greedy prefix, or plausible but wrong values — must fail with an error
+// naming the field, on resume and on merge, never panic in finalization.
+func TestResumeRejectsCorruptedBest(t *testing.T) {
+	in := runControlScenario(t)
+	part, err := Approx(context.Background(), in, Options{S: 3, Workers: 2, StopAfter: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.Checkpoint == nil || part.Checkpoint.Best == nil {
+		t.Fatal("stopped run left no best to corrupt")
+	}
+	m := in.Scenario.M()
+	cases := []struct {
+		name   string
+		mutate func(b *CheckpointBest)
+		field  string
+	}{
+		{"negative-loc", func(b *CheckpointBest) { b.Locs[0] = -3; b.Served += 1000 }, "best.locs[0]"},
+		{"loc-past-m", func(b *CheckpointBest) { b.Locs[len(b.Locs)-1] = m }, "best.locs["},
+		{"nsel-zero", func(b *CheckpointBest) { b.NSel = 0 }, "best.nsel"},
+		{"nsel-past-locs", func(b *CheckpointBest) { b.NSel = len(b.Locs) + 5; b.Served += 1000 }, "best.nsel"},
+		{"locs-past-k", func(b *CheckpointBest) { b.Locs = append(b.Locs, make([]int, in.Scenario.K())...) }, "best.nsel"},
+		{"served-raised", func(b *CheckpointBest) { b.Served += 1000 }, "best.served"},
+		{"locs-swapped", func(b *CheckpointBest) { b.Locs[0], b.Locs[1] = b.Locs[1], b.Locs[0] }, "best.locs"},
+		{"idx-moved", func(b *CheckpointBest) { b.Idx++ }, "best"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *part.Checkpoint
+			best := *bad.Best
+			best.Locs = append([]int(nil), best.Locs...)
+			tc.mutate(&best)
+			bad.Best = &best
+			if _, err := Approx(context.Background(), in, Options{S: 3, Workers: 2, Resume: &bad}); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("resume: got %v, want an error naming %s", err, tc.field)
+			}
+			if _, err := MergeCheckpoints(in, Options{S: 3}, []*Checkpoint{&bad}); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("merge: got %v, want an error naming %s", err, tc.field)
+			}
+		})
+	}
+}
+
 func TestApproxAlreadyCancelledContext(t *testing.T) {
 	in := runControlScenario(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -9,12 +9,12 @@ import (
 	"github.com/uav-coverage/uavnet/internal/matroid"
 )
 
-// evalScratch is one worker's reusable working memory for evaluateSubset.
-// Every buffer the per-subset body of Algorithm 2 needs — BFS distances and
-// frontier, the greedy runner's heap, the MST edge/tree buffers, relay
-// paths, node sets (boolean masks instead of maps), slot lists, and the
-// leftover-extension claim table — lives here and is recycled across the
-// whole enumeration, so the steady-state evaluation path allocates nothing.
+// evalScratch is one SubsetEvaluator's reusable working memory. Every buffer
+// the per-subset body of Algorithm 2 needs — BFS distances and frontier, the
+// greedy runner's heap, the MST edge/tree buffers, relay paths, node sets
+// (boolean masks instead of maps), slot lists, and the leftover-extension
+// claim table — lives here and is recycled across the whole enumeration, so
+// the steady-state evaluation path allocates nothing.
 //
 // The masks are cleared by their users after each subset (node lists are
 // short); the claim tables use epoch stamping so they are never cleared at
@@ -78,13 +78,12 @@ func newEvalScratch(in *Instance, q []int) *evalScratch {
 	return scr
 }
 
-// connectLocations is the scratch-based counterpart of the package-level
-// connectLocations: the MST is computed from the instance's precomputed hop
-// matrix instead of per-terminal BFS, each tree edge expands through the
-// path oracle instead of a fresh ShortestPath run, and the node set is a
-// boolean mask instead of a map. The returned slice is scratch-owned and
-// valid until the next call; its contents are identical to the package-level
-// function's.
+// connectLocations returns the sorted node set of the connected subgraph G_j
+// obtained by taking an MST of the selected locations under the hop metric
+// and replacing each MST edge with a shortest path (Algorithm 2 lines
+// 13-15). The MST reads the instance's precomputed hop matrix, each tree
+// edge expands through the path oracle, and the node set is a boolean mask.
+// The returned slice is scratch-owned and valid until the next call.
 func (scr *evalScratch) connectLocations(in *Instance, selected []int) ([]int, error) {
 	nodes := scr.nodes[:0]
 	for _, v := range selected {

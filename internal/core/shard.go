@@ -202,17 +202,12 @@ func MergeCheckpoints(in *Instance, opts Options, cps []*Checkpoint) (*Deploymen
 		return nil, fmt.Errorf("core: merge options must not carry a shard: each checkpoint names its own")
 	}
 	opts = opts.withDefaults()
-	sc := in.Scenario
-	k, m := sc.K(), sc.M()
-	s, err := effectiveS(opts.S, k, m)
+	ev, err := NewSubsetEvaluator(in, opts)
 	if err != nil {
 		return nil, err
 	}
-	budget, err := PlanBudget(k, s)
-	if err != nil {
-		return nil, err
-	}
-	total, sampled := subsetSpace(m, s, opts)
+	s, budget := ev.S(), ev.Budget()
+	total, sampled := subsetSpace(in.Scenario.M(), s, opts)
 
 	seen := make(map[[2]int]bool, len(cps))
 	for i, cp := range cps {
@@ -228,7 +223,7 @@ func MergeCheckpoints(in *Instance, opts Options, cps []*Checkpoint) (*Deploymen
 			}
 			seen[key] = true
 		}
-		if err := cp.validate(in, s, o, total, sampled); err != nil {
+		if err := cp.validate(ev, o, total, sampled); err != nil {
 			return nil, fmt.Errorf("core: merge: checkpoint %d: %w", i, err)
 		}
 	}

@@ -9,11 +9,11 @@ import (
 )
 
 // benchInstance builds a mid-size random instance (8x8 grid, 60 users, 8
-// heterogeneous UAVs) comparable to one paper data point, plus everything
-// evaluateSubset needs: the Algorithm 1 budget, the Q_h caps, the
-// capacity-ordered caps vector, and the index of the first anchor subset the
-// pruning rule does not discard.
-func benchInstance(b *testing.B, s int) (in *Instance, idx int64, anchors []int, budget Budget, q, caps []int, opts Options) {
+// heterogeneous UAVs) comparable to one paper data point, an evaluator for
+// it, and the first anchor subset (with its enumeration index) that survives
+// pruning and yields a feasible deployment, so every benchmark iteration
+// runs the full evaluation body.
+func benchInstance(b *testing.B, s int) (ev *SubsetEvaluator, idx int64, anchors []int) {
 	b.Helper()
 	r := rand.New(rand.NewSource(9))
 	sc := &Scenario{
@@ -37,37 +37,23 @@ func benchInstance(b *testing.B, s int) (in *Instance, idx int64, anchors []int,
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts = Options{S: s}.withDefaults()
-	budget, err = PlanBudget(sc.K(), s)
+	ev, err = NewSubsetEvaluator(in, Options{S: s})
 	if err != nil {
 		b.Fatal(err)
 	}
-	q = QValues(budget.LMax, budget.P)
-	caps = make([]int, sc.K())
-	for rr, uav := range in.ByCapacity {
-		caps[rr] = sc.UAVs[uav].Capacity
-	}
-
-	// Find the first subset that survives pruning and yields a feasible
-	// deployment, so every benchmark iteration runs the full evaluation body.
-	src := newSubsetSource(sc.M(), s, opts, false)
-	oracle, err := newPlacementOracle(in, caps, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scr := newEvalScratch(in, q)
-	total, _ := subsetSpace(sc.M(), s, opts)
+	src := newSubsetSource(sc.M(), s, ev.opts, false)
+	total, _ := subsetSpace(sc.M(), s, ev.opts)
 	for idx = 0; idx < total; idx++ {
 		sub, err := src.at(idx)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, ok, _, err := evaluateSubset(in, idx, sub, budget, q, caps, opts, oracle, scr)
+		res, ok, _, err := ev.evaluate(idx, sub)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if ok && res.served > 0 {
-			return in, idx, append([]int(nil), sub...), budget, q, caps, opts
+			return ev, idx, append([]int(nil), sub...)
 		}
 	}
 	b.Fatal("no feasible benchmark subset found")
@@ -80,18 +66,13 @@ func benchInstance(b *testing.B, s int) (in *Instance, idx int64, anchors []int,
 // fresh-scratch variant re-creates the per-worker arenas every iteration,
 // which is what the pre-arena implementation effectively paid per subset.
 func BenchmarkSubsetEval(b *testing.B) {
-	in, idx, anchors, budget, q, caps, opts := benchInstance(b, 3)
+	ev, idx, anchors := benchInstance(b, 3)
 
 	b.Run("scratch-reuse", func(b *testing.B) {
-		oracle, err := newPlacementOracle(in, caps, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scr := newEvalScratch(in, q)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, ok, _, err := evaluateSubset(in, idx, anchors, budget, q, caps, opts, oracle, scr); err != nil || !ok {
+			if _, ok, _, err := ev.evaluate(idx, anchors); err != nil || !ok {
 				b.Fatalf("ok=%v err=%v", ok, err)
 			}
 		}
@@ -101,12 +82,11 @@ func BenchmarkSubsetEval(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			oracle, err := newPlacementOracle(in, caps, false)
+			fresh, err := NewSubsetEvaluator(ev.in, ev.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			scr := newEvalScratch(in, q)
-			if _, ok, _, err := evaluateSubset(in, idx, anchors, budget, q, caps, opts, oracle, scr); err != nil || !ok {
+			if _, ok, _, err := fresh.evaluate(idx, anchors); err != nil || !ok {
 				b.Fatalf("ok=%v err=%v", ok, err)
 			}
 		}
@@ -114,33 +94,18 @@ func BenchmarkSubsetEval(b *testing.B) {
 }
 
 // BenchmarkConnectLocations isolates the relay-connection step (Algorithm 2
-// lines 13-15): the oracle variant reads MST edges and paths from the
-// instance's precomputed structures, the bfs variant is the package-level
-// function that re-runs per-terminal BFS and per-edge ShortestPath.
+// lines 13-15): MST edges and paths come from the instance's precomputed hop
+// matrix and path oracle.
 func BenchmarkConnectLocations(b *testing.B) {
-	in, _, _, _, q, _, _ := benchInstance(b, 3)
+	ev, _, _ := benchInstance(b, 3)
 	// A spread-out selection so the MST has real paths to expand.
-	m := in.Scenario.M()
+	m := ev.in.Scenario.M()
 	selected := []int{0, m / 3, 2 * m / 3, m - 1}
-
-	b.Run("oracle", func(b *testing.B) {
-		scr := newEvalScratch(in, q)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := scr.connectLocations(in, selected); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ev.scr.connectLocations(ev.in, selected); err != nil {
+			b.Fatal(err)
 		}
-	})
-
-	b.Run("bfs", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := connectLocations(in.LocGraph, selected); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }

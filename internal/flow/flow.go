@@ -10,8 +10,7 @@
 // Since the internal/match matcher took over the greedy placement loop's
 // marginal-gain queries, this package is the reference path: it backs
 // assign.Solve (final assignments, fixed placements, verification) and the
-// assign.Evaluator that core.Options.ReferenceOracle and the differential
-// tests compare the matcher against.
+// assign.Evaluator that the differential tests compare the matcher against.
 package flow
 
 import "fmt"

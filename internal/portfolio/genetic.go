@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"github.com/uav-coverage/uavnet/internal/core"
 )
@@ -137,6 +138,11 @@ func (g *geneticSolver) Restore(st SolverState) error {
 	}
 	if len(ex.Pop) != len(ex.Fit) {
 		return errStateShape("genetic", "population/fitness length", len(ex.Pop), len(ex.Fit))
+	}
+	for i, ind := range ex.Pop {
+		if !g.p.admissible(ind) {
+			return fmt.Errorf("portfolio: genetic checkpoint state: pop[%d] %v is not an admissible anchor subset", i, ind)
+		}
 	}
 	g.pop = ex.Pop
 	g.fit = ex.Fit

@@ -90,21 +90,7 @@ func newProblem(in *core.Instance, s int) (*problem, error) {
 	for i := range p.compOf {
 		p.compOf[i] = -1
 	}
-	// Component discovery off the hop matrix: cells a, b share a component
-	// iff Hop[a][b] != Unreachable. Scanning cells in ascending order makes
-	// component ids ascend with their smallest member.
-	seen := make([]bool, m)
-	for c := 0; c < m; c++ {
-		if seen[c] {
-			continue
-		}
-		var cells []int
-		for d := c; d < m; d++ {
-			if !seen[d] && in.Hop[c][d] != graph.Unreachable {
-				seen[d] = true
-				cells = append(cells, d)
-			}
-		}
+	for _, cells := range in.LocGraph.Components() {
 		if len(cells) >= s {
 			for _, d := range cells {
 				p.compOf[d] = len(p.comps)
@@ -156,6 +142,17 @@ func (p *problem) admissible(a []int) bool {
 		}
 	}
 	return true
+}
+
+// checkSubset rejects a non-empty subset from a member's checkpoint state
+// that lies outside the admissible region: every move, repair and
+// evaluation assumes admissible input, so a corrupted file must fail here,
+// naming the field, rather than index out of range mid-search.
+func (p *problem) checkSubset(member, field string, a []int) error {
+	if len(a) > 0 && !p.admissible(a) {
+		return fmt.Errorf("portfolio: %s checkpoint state: %s %v is not an admissible anchor subset", member, field, a)
+	}
+	return nil
 }
 
 // contains reports whether sorted slice a contains c.

@@ -348,3 +348,91 @@ func TestUnmarshalCheckpointTrailingBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreRejectsCorruptedState: a member state whose subsets leave the
+// admissible region (a negative or out-of-range cell, an unsorted or
+// wrong-size set, an empty genetic individual) or whose tabu ring head is
+// out of range must fail Restore with an error naming the field, not panic
+// later inside a move.
+func TestRestoreRejectsCorruptedState(t *testing.T) {
+	t.Parallel()
+	in := testInstance(t, 16)
+	p, err := newProblem(in, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func(name string) (Solver, SolverState) {
+		ev, err := core.NewSubsetEvaluator(in, core.Options{S: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sv, err := newSolver(name, p, ev, 4, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if _, err := sv.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := sv.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Current) == 0 && name != "genetic" {
+			t.Fatalf("%s: no incumbent after 40 steps", name)
+		}
+		return sv, st
+	}
+	setExtra := func(st *SolverState, v any) {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Extra = raw
+	}
+	cases := []struct {
+		member string
+		mutate func(st *SolverState)
+		field  string
+	}{
+		{"anneal", func(st *SolverState) { st.Current = append(st.Current[:len(st.Current)-1], -5) }, "current"},
+		{"anneal", func(st *SolverState) { st.Best = []int{0, in.Scenario.M()} }, "best"},
+		{"tabu", func(st *SolverState) { st.Current = []int{st.Current[1], st.Current[0]} }, "current"},
+		{"grasp", func(st *SolverState) { st.Current = append(st.Current, st.Current[0]) }, "current"},
+		{"tabu", func(st *SolverState) {
+			var ex tabuExtra
+			if err := json.Unmarshal(st.Extra, &ex); err != nil {
+				t.Fatal(err)
+			}
+			ex.Head = len(ex.Ring) + 3
+			setExtra(st, ex)
+		}, "head"},
+		{"genetic", func(st *SolverState) {
+			var ex geneticExtra
+			if err := json.Unmarshal(st.Extra, &ex); err != nil {
+				t.Fatal(err)
+			}
+			ex.Pop[0][0] = -5
+			setExtra(st, ex)
+		}, "pop[0]"},
+		{"genetic", func(st *SolverState) {
+			var ex geneticExtra
+			if err := json.Unmarshal(st.Extra, &ex); err != nil {
+				t.Fatal(err)
+			}
+			ex.Pop[1] = nil
+			setExtra(st, ex)
+		}, "pop[1]"},
+	}
+	for _, tc := range cases {
+		sv, st := state(tc.member)
+		if err := sv.Restore(st); err != nil {
+			t.Fatalf("%s: restoring the unmodified state: %v", tc.member, err)
+		}
+		tc.mutate(&st)
+		if err := sv.Restore(st); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: corrupted %s: got %v, want an error naming it", tc.member, tc.field, err)
+		}
+	}
+}

@@ -195,6 +195,12 @@ func (s *search) restoreBase(name string, st SolverState) (json.RawMessage, erro
 	if st.Name != name {
 		return nil, fmt.Errorf("portfolio: state is for member %q, not %q", st.Name, name)
 	}
+	if err := s.p.checkSubset(name, "current", st.Current); err != nil {
+		return nil, err
+	}
+	if err := s.p.checkSubset(name, "best", st.Best); err != nil {
+		return nil, err
+	}
 	s.steps = st.Steps
 	s.src.state = st.RNG
 	// An empty Current round-trips to nil: "no incumbent yet / restarting"

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"github.com/uav-coverage/uavnet/internal/core"
 )
@@ -115,6 +116,9 @@ func (t *tabuSolver) Restore(st SolverState) error {
 		// The tenure is derived from s, so a size mismatch means the state
 		// belongs to a different run shape.
 		return errStateShape("tabu", "tabu-ring length", len(ex.Ring), len(t.ring))
+	}
+	if ex.Head < 0 || ex.Head >= len(t.ring) {
+		return fmt.Errorf("portfolio: tabu checkpoint state: head %d outside the %d-slot ring", ex.Head, len(t.ring))
 	}
 	copy(t.ring, ex.Ring)
 	t.head = ex.Head

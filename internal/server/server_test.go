@@ -486,6 +486,100 @@ func TestShutdownRestartResumesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRestartWithCorruptedCheckpointFails: a checkpoint edited on disk
+// between runs (a best cell of -3, a portfolio incumbent cell of -5) must
+// fail its job with an error naming the field when a restarted server
+// resumes it; the server itself keeps serving other jobs.
+func TestRestartWithCorruptedCheckpointFails(t *testing.T) {
+	cases := []struct {
+		name    string
+		opts    JobOptions
+		ready   string // a key the checkpoint must hold before it is corrupted
+		corrupt func(cp map[string]any)
+		field   string
+	}{
+		{"enum", JobOptions{}, `"best"`, func(cp map[string]any) {
+			best := cp["best"].(map[string]any)
+			best["locs"].([]any)[0] = json.Number("-3")
+			best["served"] = json.Number("1000000")
+		}, "best.locs[0]"},
+		{"anneal", JobOptions{Solver: "anneal", SolverBudget: 4000}, `"current"`, func(cp map[string]any) {
+			cur := cp["members"].([]any)[0].(map[string]any)["current"].([]any)
+			cur[len(cur)-1] = json.Number("-5")
+		}, "current"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sc := slowScenario(t)
+
+			srvA, cancelA := newTestServer(t, dir, 1, 20*time.Millisecond)
+			tsA := httptest.NewServer(srvA.Handler())
+			resp, data := postJSON(t, tsA.URL+"/v1/jobs", submitBody(t, sc, tc.opts))
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+			}
+			var sum jobSummary
+			json.Unmarshal(data, &sum)
+			ckptPath := filepath.Join(dir, sum.ID, checkpointFile)
+			deadline := time.Now().Add(60 * time.Second)
+			for {
+				if raw, err := os.ReadFile(ckptPath); err == nil && bytes.Contains(raw, []byte(tc.ready)) {
+					break
+				}
+				var cur jobSummary
+				getJSON(t, tsA.URL+"/v1/jobs/"+sum.ID, &cur)
+				if cur.State == JobDone {
+					t.Skip("job finished before a checkpoint to corrupt; scenario too small for this machine")
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no checkpoint appeared")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			cancelA()
+			srvA.Wait()
+			tsA.Close()
+
+			raw, err := os.ReadFile(ckptPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(raw))
+			dec.UseNumber()
+			var cp map[string]any
+			if err := dec.Decode(&cp); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(cp)
+			if raw, err = json.Marshal(cp); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(ckptPath, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			srvB, _ := newTestServer(t, dir, 1, 50*time.Millisecond)
+			tsB := httptest.NewServer(srvB.Handler())
+			defer tsB.Close()
+			waitState(t, tsB.URL, sum.ID, JobFailed)
+			var failed jobSummary
+			getJSON(t, tsB.URL+"/v1/jobs/"+sum.ID, &failed)
+			if !strings.Contains(failed.Error, tc.field) {
+				t.Errorf("failed job error %q does not name %s", failed.Error, tc.field)
+			}
+
+			resp, data = postJSON(t, tsB.URL+"/v1/jobs", submitBody(t, quickScenario(t, 3), JobOptions{}))
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("submit after the failure: status %d: %s", resp.StatusCode, data)
+			}
+			var next jobSummary
+			json.Unmarshal(data, &next)
+			waitState(t, tsB.URL, next.ID, JobDone)
+		})
+	}
+}
+
 // TestJobIDGolden pins the canonical job-id form: the values were computed
 // by an earlier release, so existing job directories keep deduping. Shards
 // and Workers are execution hints and share the plain enumeration's id.
