@@ -47,6 +47,28 @@ import (
 	"github.com/uav-coverage/uavnet/internal/server"
 )
 
+// Connection timeouts of the HTTP server. They bound what a slow or idle
+// client can hold open: ReadHeaderTimeout caps the time to send request
+// headers, IdleTimeout how long a keep-alive connection may wait for its next
+// request. There is deliberately no read or write timeout on whole requests,
+// which would cut off large scenario uploads and long-lived SSE streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the service's http.Server: handler on addr, every
+// request context derived from ctx, and the connection timeouts above.
+func newHTTPServer(ctx context.Context, addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "uavserve:", err)
@@ -83,11 +105,7 @@ func run() error {
 	defer stop()
 	srv.Start(ctx)
 
-	httpSrv := &http.Server{
-		Addr:        *addr,
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	httpSrv := newHTTPServer(ctx, *addr, srv.Handler())
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.ListenAndServe() }()
 	logger.Printf("listening on %s, jobs in %s", *addr, *dir)

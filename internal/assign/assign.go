@@ -12,8 +12,9 @@
 //
 // The greedy placement loop of Algorithm 2 now runs on internal/match's
 // specialized bipartite matcher; Solve and Evaluator are the flow-based
-// reference implementation it is verified against (FuzzAssignDifferential
-// and the oracle-equivalence tests of internal/core and internal/verify).
+// reference implementation it is verified against (FuzzAssignDifferential,
+// FuzzMatcherOps and the oracle-equivalence tests of internal/core and
+// internal/verify).
 package assign
 
 import (

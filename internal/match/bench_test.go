@@ -97,3 +97,84 @@ func BenchmarkResetCommit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGainCommit measures the lazy greedy's pattern: query a station's
+// gain, then commit that same station, for all eight stations of a fresh
+// subset. The Commit adopts the Gain's pending augmentation.
+func BenchmarkGainCommit(b *testing.B) {
+	f := newBenchFixture()
+	m, err := NewMatcher(f.numUsers, len(f.caps))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Reset(); err != nil {
+			b.Fatal(err)
+		}
+		for k := range f.caps {
+			el := f.lists[(i+k)%len(f.lists)]
+			g, err := m.Gain(f.caps[k], el)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c, err := m.Commit(f.caps[k], el); err != nil || c != g {
+				b.Fatalf("Commit = %d, %v after Gain %d", c, err, g)
+			}
+		}
+	}
+}
+
+// TestSteadyStateZeroAllocs gates the hot path at zero allocations once the
+// journal has grown: Gain, Commit (adopted or not) and GainBound reuse the
+// matcher's memory.
+func TestSteadyStateZeroAllocs(t *testing.T) {
+	f := newBenchFixture()
+	m, err := NewMatcher(f.numUsers, len(f.caps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string, op func(i int)) {
+		t.Helper()
+		i := 0
+		if a := testing.AllocsPerRun(50, func() { op(i); i++ }); a != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", name, a)
+		}
+	}
+	seed := func() {
+		if err := m.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 3; k++ {
+			if _, err := m.Commit(f.caps[k], f.lists[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	seed()
+	run("Gain", func(i int) {
+		if _, err := m.Gain(f.caps[3], f.lists[i%len(f.lists)]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	run("GainBound", func(i int) {
+		m.GainBound(f.caps[3], f.masks[i%len(f.masks)])
+	})
+	run("Gain+Commit", func(i int) {
+		seed()
+		el := f.lists[i%len(f.lists)]
+		if _, err := m.Gain(f.caps[3], el); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Commit(f.caps[3], el); err != nil {
+			t.Fatal(err)
+		}
+	})
+	run("Commit", func(i int) {
+		seed()
+		if _, err := m.Commit(f.caps[3], f.lists[i%len(f.lists)]); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

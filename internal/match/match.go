@@ -15,14 +15,30 @@
 // network — the costs the Dinic-based assign.Evaluator pays on every what-if
 // query.
 //
-// Correctness rests on two classical matching facts, both exercised by the
-// package tests and the differential fuzz target in internal/assign:
+// Correctness rests on three classical matching facts, all exercised by the
+// package tests and the differential fuzz targets in internal/assign:
 //
 //  1. Adding one station copy to a graph whose matching is maximum admits an
 //     augmenting path only with the new copy as an endpoint, so searching
 //     from the new station alone finds it.
 //  2. A failed search leaves the matching untouched, and the station's cap
 //     copies are interchangeable, so the first failed attempt ends the query.
+//  3. Every augmenting path raises the matching size by exactly one, so which
+//     path a search finds never changes a gain. That makes it sound for a
+//     search to take any unserved eligible user before it tries to steal one:
+//     the matching it builds may differ, its size never does.
+//
+// Gain leaves its augmentation applied as pending state instead of rewinding
+// at once. A Commit of the same station (same slot, capacity and eligible
+// slice, compared by first-element pointer and length) adopts it without
+// augmenting again, which is the lazy greedy's Gain-then-Commit pattern.
+// Every other call that reads or changes the matching (Gain, Owner, Reset, a
+// Commit of any other station, and a GainBound that must rebuild reach)
+// first rewinds the pending augmentation through the owner journal, so the
+// observable contract is unchanged: Gain never changes what Served, Owner,
+// Load or GainBound report. A caller must therefore not modify an eligible
+// list between the Gain and the Commit that passes it again, just as it must
+// never modify a committed one.
 //
 // assign.Evaluator (Dinic over internal/flow) remains the reference
 // implementation the matcher is verified against.
@@ -76,15 +92,28 @@ type Matcher struct {
 	reach      Bitset
 	reachValid bool
 
-	// recomputeReach scratch: satisfiable marks per station, plus the served
-	// users grouped by owner (counting-sort layout).
-	sat         []bool
-	servedByOff []int32
-	servedByBuf []int32
+	// recomputeReach scratch: satisfiable marks per station.
+	sat []bool
+
+	// cur[j] is where station j's free-user scan resumes in elig[j] during
+	// the current augment. Within one augment users only go from unserved to
+	// served, so every position before cur[j] stays served and the cursor
+	// only moves forward.
+	cur []int
 
 	// Speculative-query journal.
 	journal    []journalEntry
 	journaling bool
+
+	// pending is set while the last Gain's augmentation is still applied
+	// (its owner changes sit in journal, its eligible list in elig[stations]).
+	// pendCap, pendElig and pendLen identify the station it was computed for,
+	// pendGain is its result.
+	pending  bool
+	pendCap  int
+	pendElig *int
+	pendLen  int
+	pendGain int
 }
 
 // NewMatcher returns a matcher for numUsers users and at most maxSlots
@@ -94,18 +123,17 @@ func NewMatcher(numUsers, maxSlots int) (*Matcher, error) {
 		return nil, fmt.Errorf("match: invalid matcher size (%d users, %d slots)", numUsers, maxSlots)
 	}
 	m := &Matcher{
-		numUsers:    numUsers,
-		maxSlots:    maxSlots,
-		owner:       make([]int32, numUsers),
-		caps:        make([]int, maxSlots+1),
-		elig:        make([][]int, maxSlots+1),
-		load:        make([]int, maxSlots+1),
-		visited:     make([]uint64, numUsers),
-		unserved:    NewBitset(numUsers),
-		reach:       NewBitset(numUsers),
-		sat:         make([]bool, maxSlots+1),
-		servedByOff: make([]int32, maxSlots+2),
-		servedByBuf: make([]int32, numUsers),
+		numUsers: numUsers,
+		maxSlots: maxSlots,
+		owner:    make([]int32, numUsers),
+		caps:     make([]int, maxSlots+1),
+		elig:     make([][]int, maxSlots+1),
+		load:     make([]int, maxSlots+1),
+		visited:  make([]uint64, numUsers),
+		unserved: NewBitset(numUsers),
+		reach:    NewBitset(numUsers),
+		sat:      make([]bool, maxSlots+1),
+		cur:      make([]int, maxSlots+1),
 	}
 	for i := range m.owner {
 		m.owner[i] = Unassigned
@@ -118,6 +146,7 @@ func NewMatcher(numUsers, maxSlots int) (*Matcher, error) {
 // reusing all memory. Use it to amortize construction across many
 // independent placement evaluations over the same users.
 func (m *Matcher) Reset() error {
+	m.rewind()
 	for i := range m.owner {
 		m.owner[i] = Unassigned
 	}
@@ -138,7 +167,10 @@ func (m *Matcher) Served() int { return m.served }
 func (m *Matcher) Stations() int { return m.stations }
 
 // Owner returns the committed station serving user u, or Unassigned.
-func (m *Matcher) Owner(u int) int { return int(m.owner[u]) }
+func (m *Matcher) Owner(u int) int {
+	m.rewind()
+	return int(m.owner[u])
+}
 
 // Load returns the number of users served by committed station k.
 func (m *Matcher) Load(k int) int { return m.load[k] }
@@ -174,12 +206,23 @@ func (m *Matcher) assign(u, k int) {
 }
 
 // tryServe finds one augmenting alternating chain giving station k one more
-// served user: either an unserved eligible user directly, or a served one
-// whose owner can recursively re-acquire a replacement. It returns false
-// without mutating any state (assignments happen only while unwinding a
-// successful chain).
+// served user: an unserved eligible user directly if there is one (fact 3),
+// otherwise a served one whose owner can recursively re-acquire a
+// replacement. It returns false without mutating any state (assignments
+// happen only while unwinding a successful chain).
 func (m *Matcher) tryServe(k int) bool {
-	for _, u := range m.elig[k] {
+	el := m.elig[k]
+	for i := m.cur[k]; i < len(el); i++ {
+		if u := el[i]; m.owner[u] == Unassigned {
+			m.cur[k] = i + 1
+			m.assign(u, k)
+			return true
+		}
+	}
+	m.cur[k] = len(el)
+	// No eligible user is unserved, and a failing search frees none, so the
+	// steal loop below never meets one.
+	for _, u := range el {
 		if m.visited[u] == m.epoch {
 			continue
 		}
@@ -188,7 +231,7 @@ func (m *Matcher) tryServe(k int) bool {
 		if owner == k {
 			continue // already ours; stealing from ourselves gains nothing
 		}
-		if owner == Unassigned || m.tryServe(owner) {
+		if m.tryServe(owner) {
 			m.assign(u, k)
 			return true
 		}
@@ -199,8 +242,12 @@ func (m *Matcher) tryServe(k int) bool {
 // augment runs capacity-capped augmenting attempts for slot k and returns
 // the number that succeeded. The station's cap copies are interchangeable
 // and a failed attempt leaves the matching untouched, so the first failure
-// ends the loop.
+// ends the loop. The free-user cursors restart here, because a rewind
+// between augments may have freed users behind them.
 func (m *Matcher) augment(k, capacity int) int {
+	for j := 0; j <= m.stations; j++ {
+		m.cur[j] = 0
+	}
 	g := 0
 	for g < capacity {
 		m.epoch++
@@ -212,20 +259,12 @@ func (m *Matcher) augment(k, capacity int) int {
 	return g
 }
 
-// Gain returns how many additional users would be served if a station with
-// the given capacity and eligible-user list were added to the committed set.
-// The committed state is not modified: the query augments in place and then
-// rewinds through the owner journal, which costs time proportional to the
-// alternating chains actually walked.
-func (m *Matcher) Gain(capacity int, eligible []int) (int, error) {
-	if err := m.checkStation(capacity, eligible); err != nil {
-		return 0, err
+// rewind undoes a pending Gain augmentation through the owner journal,
+// restoring the committed matching. It is a no-op when nothing is pending.
+func (m *Matcher) rewind() {
+	if !m.pending {
+		return
 	}
-	k := m.stations
-	m.elig[k] = eligible
-	m.journaling = true
-	g := m.augment(k, capacity)
-	m.journaling = false
 	for i := len(m.journal) - 1; i >= 0; i-- {
 		e := m.journal[i]
 		if e.prev == Unassigned {
@@ -234,22 +273,63 @@ func (m *Matcher) Gain(capacity int, eligible []int) (int, error) {
 		m.owner[e.user] = e.prev
 	}
 	m.journal = m.journal[:0]
-	m.elig[k] = nil
-	return g, nil
+	m.elig[m.stations] = nil
+	m.pending = false
 }
 
-// Commit adds the station to the committed set and returns its realized gain.
-func (m *Matcher) Commit(capacity int, eligible []int) (int, error) {
+// firstElem identifies an eligible slice's backing array together with its
+// length: two slices with the same first-element pointer and length view the
+// same users.
+func firstElem(s []int) *int {
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
+}
+
+// Gain returns how many additional users would be served if a station with
+// the given capacity and eligible-user list were added to the committed set.
+// The committed state is not modified as far as any other method can tell:
+// the query augments in place and leaves the augmentation pending, and the
+// next call either adopts it (a Commit of the same station) or rewinds it
+// through the owner journal, which costs time proportional to the
+// alternating chains actually walked.
+func (m *Matcher) Gain(capacity int, eligible []int) (int, error) {
+	m.rewind()
 	if err := m.checkStation(capacity, eligible); err != nil {
 		return 0, err
 	}
 	k := m.stations
-	m.caps[k] = capacity
 	m.elig[k] = eligible
-	// Later commits may steal users from k, but every steal forces the thief
-	// to hand k a replacement through the same chain, so k's load is fixed at
-	// commit time.
-	m.load[k] = m.augment(k, capacity)
+	m.journaling = true
+	g := m.augment(k, capacity)
+	m.journaling = false
+	m.pending = true
+	m.pendCap, m.pendElig, m.pendLen, m.pendGain = capacity, firstElem(eligible), len(eligible), g
+	return g, nil
+}
+
+// Commit adds the station to the committed set and returns its realized gain.
+// When the previous call was a Gain for the same capacity and eligible slice,
+// its pending augmentation becomes the committed one as it stands.
+func (m *Matcher) Commit(capacity int, eligible []int) (int, error) {
+	k := m.stations
+	if m.pending && capacity == m.pendCap && len(eligible) == m.pendLen && firstElem(eligible) == m.pendElig {
+		m.journal = m.journal[:0]
+		m.pending = false
+		m.load[k] = m.pendGain
+	} else {
+		m.rewind()
+		if err := m.checkStation(capacity, eligible); err != nil {
+			return 0, err
+		}
+		m.elig[k] = eligible
+		// Later commits may steal users from k, but every steal forces the
+		// thief to hand k a replacement through the same chain, so k's load
+		// is fixed at commit time.
+		m.load[k] = m.augment(k, capacity)
+	}
+	m.caps[k] = capacity
 	m.served += m.load[k]
 	m.stations++
 	m.reachValid = false
@@ -273,8 +353,13 @@ func (m *Matcher) Commit(capacity int, eligible []int) (int, error) {
 // u's owner able to re-acquire through alternating chains. The chains of a
 // maximum augmentation are vertex-disjoint, so the gain is at most the
 // number of such entry users.
+//
+// A valid reach depends only on the committed matching, so a pending Gain
+// stays pending unless reach has to be rebuilt, which needs the committed
+// owners back first.
 func (m *Matcher) GainBound(capacity int, eligMask Bitset) int {
 	if !m.reachValid {
+		m.rewind()
 		m.recomputeReach()
 	}
 	b := AndCount(eligMask, m.reach)
@@ -290,29 +375,11 @@ func (m *Matcher) GainBound(capacity int, eligMask Bitset) int {
 // the fixpoint of: k is satisfiable iff some eligible user of k is in reach
 // and not already served by k. Each sweep below either marks a new station
 // satisfiable or terminates, so the loop runs at most stations+1 sweeps over
-// the committed eligibility lists plus one O(n) grouping pass.
+// the committed eligibility lists. A station only ever serves users on its
+// own list, so that list also finds its served users without any O(n) pass
+// over the owner array.
 func (m *Matcher) recomputeReach() {
 	m.reach.CopyFrom(m.unserved)
-	// Group served users by owner (counting sort) so a newly satisfiable
-	// station flips its users into reach without an O(n) scan per station.
-	off := m.servedByOff[:m.stations+2]
-	for i := range off {
-		off[i] = 0
-	}
-	for _, k := range m.owner {
-		if k != Unassigned {
-			off[k+2]++
-		}
-	}
-	for k := 2; k < len(off); k++ {
-		off[k] += off[k-1]
-	}
-	for u, k := range m.owner {
-		if k != Unassigned {
-			m.servedByBuf[off[k+1]] = int32(u)
-			off[k+1]++
-		}
-	}
 	for k := 0; k < m.stations; k++ {
 		m.sat[k] = false
 	}
@@ -334,8 +401,10 @@ func (m *Matcher) recomputeReach() {
 			}
 			m.sat[k] = true
 			changed = true
-			for _, u := range m.servedByBuf[off[k]:off[k+1]] {
-				m.reach.Set(int(u))
+			for _, u := range m.elig[k] {
+				if int(m.owner[u]) == k {
+					m.reach.Set(u)
+				}
 			}
 		}
 	}

@@ -329,3 +329,75 @@ func TestBitsetBasics(t *testing.T) {
 		t.Errorf("Fill(70) set %d bits, want 70", got)
 	}
 }
+
+// TestReachIsGallaiEdmondsProperty pins what GainBound counts. Read through
+// singleton masks with an unbounded capacity, reach must be exactly the
+// users u whose removal leaves the maximum matching size unchanged (the
+// users some maximum matching leaves unserved), computed by brute force.
+// That set depends on the graph alone, not on which maximum matching the
+// matcher holds, so the order in which augmentations pick users can never
+// change a bound, a lazy-greedy trajectory or a traced counter. The test
+// builds two different matchings of the same graph: one through Gain then
+// Commit, one with every list reversed, so the searches pick other users.
+func TestReachIsGallaiEdmondsProperty(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		p := randomProblem(r)
+		want := bruteServed(p, 0, append([]int(nil), p.caps...))
+		essential := make([]bool, p.numUsers)
+		for u := 0; u < p.numUsers; u++ {
+			without := problem{numUsers: p.numUsers, caps: p.caps}
+			for _, el := range p.elig {
+				var kept []int
+				for _, v := range el {
+					if v != u {
+						kept = append(kept, v)
+					}
+				}
+				without.elig = append(without.elig, kept)
+			}
+			essential[u] = bruteServed(without, 0, append([]int(nil), p.caps...)) < want
+		}
+
+		adopted, err := NewMatcher(p.numUsers, len(p.caps)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reversed, err := NewMatcher(p.numUsers, len(p.caps)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range p.caps {
+			if _, err := adopted.Gain(p.caps[j], p.elig[j]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := adopted.Commit(p.caps[j], p.elig[j]); err != nil {
+				t.Fatal(err)
+			}
+			rev := make([]int, len(p.elig[j]))
+			for i, u := range p.elig[j] {
+				rev[len(rev)-1-i] = u
+			}
+			if _, err := reversed.Commit(p.caps[j], rev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A pending Gain must not leak into the reach rebuilt after it.
+		if _, err := adopted.Gain(p.numUsers, p.elig[0]); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*Matcher{adopted, reversed} {
+			if m.Served() != want {
+				t.Fatalf("trial %d: served %d, optimum %d (p=%+v)", trial, m.Served(), want, p)
+			}
+			for u := 0; u < p.numUsers; u++ {
+				inReach := m.GainBound(p.numUsers+1, BitsetFromSorted(p.numUsers, []int{u})) == 1
+				if inReach == essential[u] {
+					t.Fatalf("trial %d: user %d in reach = %v, but essential = %v (p=%+v)",
+						trial, u, inReach, essential[u], p)
+				}
+			}
+		}
+	}
+}
